@@ -12,8 +12,8 @@ from . import guards
 from .errors import (EmptyBranchSet, EmptyReplacement, MalformedBlock,
                      MissingReqMethod, UnknownMethod)
 from .model import (GOAL, TAU, AttributeSpec, BlockFragment, GNetModel,
-                    GoalLabel, GspSpec, InternalStructure, IspRef, MethodSpec,
-                    OpLabel, Place, PlaceKind, WebService, rename_block)
+                    GspSpec, InternalStructure, IspRef, MethodSpec,
+                    OpLabel, Place, PlaceKind, WebService, apart)
 
 EMPTY_NAME = "Empty"
 
@@ -360,7 +360,7 @@ def refine(s: WebService, op_name: str, block: BlockFragment) -> WebService:
         raise MalformedBlock(
             "block must be connected with non-empty entry and exit sets")
     struct = s.net.internal
-    labels = struct.label_map()
+    labels = struct.label_map
     removed = sorted((pid for pid, lab in labels.items()
                       if isinstance(lab, OpLabel) and lab.name == op_name),
                      key=lambda x: x)
@@ -368,11 +368,11 @@ def refine(s: WebService, op_name: str, block: BlockFragment) -> WebService:
         return s
     removed_set = set(removed)
 
-    block = rename_block(block, "A")
+    block = BlockFragment(block.structure.renamed(apart("A")))
     bs = block.structure
     entries, exits = block.entries, block.exits
 
-    inscriptions = struct.inscription_map()
+    inscriptions = struct.inscription_map
     new_arcs = []
     new_inscriptions = {}
     for src, tgt in struct.arcs:
@@ -396,7 +396,7 @@ def refine(s: WebService, op_name: str, block: BlockFragment) -> WebService:
                     new_inscriptions.setdefault((ex, tgt),
                                                 inscriptions[(src, tgt)])
     new_arcs.extend(bs.arcs)
-    new_inscriptions.update(bs.inscription_map())
+    new_inscriptions.update(bs.inscription_map)
     # deduplicate while keeping first-seen order
     new_arcs = list(dict.fromkeys(new_arcs))
 

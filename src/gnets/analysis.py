@@ -16,9 +16,8 @@ from itertools import product
 from . import algebra, guards
 from .errors import (DepthLimitExceeded, UnboundFreeVariable,
                      UnflattenableIsp, UnknownMethod)
-from .model import (GNetModel, InternalStructure, Place, PlaceKind, Registry,
-                    TauLabel, WebService, natural_key)
-from .model import RENAME_SEP, TAU
+from .model import (TAU, GNetModel, InternalStructure, PlaceKind, Registry,
+                    WebService, apart, natural_key)
 
 # --- ISP inlining ----------------------------------------------------------
 
@@ -36,24 +35,19 @@ def restrict_to_method(ws: WebService, method_name: str):
     if method is None:
         raise UnknownMethod(ws.name, method_name)
     struct = ws.net.internal
-    succ, pred = {}, {}
-    for a, b in struct.arcs:
-        succ.setdefault(a, set()).add(b)
-        pred.setdefault(b, set()).add(a)
 
-    def closure(seeds, adjacency):
+    def closure(seeds, neighbours):
         seen = set(seeds)
         stack = list(seeds)
         while stack:
-            n = stack.pop()
-            for m in adjacency.get(n, ()):
+            for m in neighbours(stack.pop()):
                 if m not in seen:
                     seen.add(m)
                     stack.append(m)
         return seen
 
-    fwd = closure({method.init_place}, succ)
-    bwd = closure(set(method.goal_places), pred)
+    fwd = closure({method.init_place}, struct.post)
+    bwd = closure(set(method.goal_places), struct.pre)
     keep = fwd & bwd
     keep_places = {p.id for p in struct.places if p.id in keep}
     # drop transitions whose presets leak outside the kept region
@@ -76,45 +70,17 @@ def restrict_to_method(ws: WebService, method_name: str):
     return method, sub
 
 
-def _rename_structure(struct: InternalStructure, suffix: str):
-    def rn(ident):
-        return f"{ident}{RENAME_SEP}{suffix}"
-
-    return rn, InternalStructure(
-        places=tuple(replace(p, id=rn(p.id)) for p in struct.places),
-        transitions=tuple(rn(t) for t in struct.transitions),
-        arcs=tuple((rn(a), rn(b)) for a, b in struct.arcs),
-        inscriptions=tuple(((rn(a), rn(b)), ins)
-                           for (a, b), ins in struct.inscriptions),
-        conditions=tuple((rn(t), c) for t, c in struct.conditions),
-        actions=tuple((rn(t), a) for t, a in struct.actions),
-        labels=tuple((rn(p), lab) for p, lab in struct.labels),
-    )
-
-
 def _rename_variables(struct: InternalStructure, mapping: dict):
     if not mapping:
         return struct
     subst = {old: guards.Var(new) for old, new in mapping.items()}
-
-    def fix_cond(c):
-        if isinstance(c, guards.Atom):
-            return guards.Atom(guards.subst_expr(c.expr, subst))
-        if isinstance(c, guards.Compare):
-            return guards.Compare(guards.subst_expr(c.left, subst), c.op,
-                                  guards.subst_expr(c.right, subst))
-        if isinstance(c, guards.Not):
-            return guards.Not(fix_cond(c.operand))
-        if isinstance(c, guards.And):
-            return guards.And(fix_cond(c.left), fix_cond(c.right))
-        return guards.Or(fix_cond(c.left), fix_cond(c.right))
-
     return replace(
         struct,
         inscriptions=tuple((key, tuple(guards.subst_expr(e, subst)
                                        for e in ins))
                            for key, ins in struct.inscriptions),
-        conditions=tuple((t, fix_cond(c)) for t, c in struct.conditions),
+        conditions=tuple((t, guards.subst_condition(c, subst))
+                         for t, c in struct.conditions),
         actions=tuple((t, tuple(guards.Assign(mapping.get(a.target, a.target),
                                               guards.subst_expr(a.expr, subst))
                                 for a in acts))
@@ -142,10 +108,10 @@ def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
                 f"ISP inlining did not terminate within {depth_limit} rounds")
         for isp in isps:
             struct = service.net.internal
-            if isp.id not in struct.place_ids():
+            if isp.id not in struct.place_map:
                 continue
             counter += 1
-            suffix = f"i{counter}"
+            rn = apart(f"i{counter}")
             svc = reg.lookup(isp.invoked_gnet)
             method = svc.net.gsp.method(isp.using_method)
             if method is None and isp.using_method == "main":
@@ -156,11 +122,9 @@ def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
 
             # avoid attribute-name capture between host and spliced subnet
             host_attrs = {a.name for a in service.net.gsp.attributes}
-            var_map = {a.name: f"{a.name}{RENAME_SEP}{suffix}"
-                       for a in svc.net.gsp.attributes
+            var_map = {a.name: rn(a.name) for a in svc.net.gsp.attributes
                        if a.name in host_attrs}
-            sub = _rename_variables(sub, var_map)
-            rn, sub = _rename_structure(sub, suffix)
+            sub = _rename_variables(sub, var_map).renamed(rn)
 
             service = _splice(service, isp.id, sub,
                               rn(method.init_place),
@@ -189,7 +153,7 @@ def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
 def _splice(service: WebService, removed: str, sub: InternalStructure,
             init_place: str, goal_places: set) -> WebService:
     struct = service.net.internal
-    ins_map = struct.inscription_map()
+    ins_map = struct.inscription_map
     sub_places = []
     sub_labels = dict(sub.labels)
     for p in sub.places:
@@ -216,7 +180,7 @@ def _splice(service: WebService, removed: str, sub: InternalStructure,
             if (a, b) in ins_map:
                 new_ins[(a, b)] = ins_map[(a, b)]
     new_arcs.extend(sub.arcs)
-    new_ins.update(sub.inscription_map())
+    new_ins.update(sub.inscription_map)
     new_arcs = list(dict.fromkeys(new_arcs))
 
     methods = []
@@ -317,15 +281,16 @@ def flatten(ws: WebService, method_name: str = None, args: dict = None
     default_sig = tuple(n for n, _ in method.params) + \
         tuple(a.name for a in attrs)
 
-    ins_map = struct.inscription_map()
+    ins_map = struct.inscription_map
+    touching = {}  # node -> inscriptions of its arcs, in natural arc order
+    for key in sorted(ins_map, key=lambda k: (natural_key(k[0]),
+                                              natural_key(k[1]))):
+        for node in key:
+            touching.setdefault(node, []).append(ins_map[key])
     signatures = {}
     for p in struct.places:
         names = []
-        for key in sorted(ins_map, key=lambda k: (natural_key(k[0]),
-                                                  natural_key(k[1]))):
-            if p.id not in key:
-                continue
-            ins = ins_map[key]
+        for ins in touching.get(p.id, ()):
             if all(isinstance(e, guards.Var) for e in ins):
                 for e in ins:
                     if e.name not in names:
@@ -346,8 +311,8 @@ def flatten(ws: WebService, method_name: str = None, args: dict = None
             gate=guards.TRUE,
             origin=None))
 
-    cond_map = struct.condition_map()
-    act_map = struct.action_map()
+    cond_map = struct.condition_map
+    act_map = struct.action_map
     for t in struct.transitions:
         compiled = guards.compile_actions(act_map.get(t, ()))
         inputs = tuple((flat_name(p, "l"), signatures[p])
@@ -361,19 +326,17 @@ def flatten(ws: WebService, method_name: str = None, args: dict = None
             else:
                 base = tuple(guards.Var(v) for v in sig)
             outputs.append((flat_name(q, "f"),
-                            tuple(guards.subst_expr(e, {
-                                k: v for k, v in compiled.items()})
-                                for e in base)))
+                            tuple(guards.subst_expr(e, compiled)
+                                  for e in base)))
         transitions.append(FlatTransition(
             name=t, inputs=inputs, outputs=tuple(outputs),
             gate=cond_map.get(t, guards.TRUE), origin=t))
 
     domains = {}
     for a in attrs:
-        if a.domain is not None:
-            domains[a.name] = tuple(a.domain)
-        elif a.value_type == "bool":
-            domains[a.name] = (False, True)
+        domain = ws.net.gsp.domain(a.name)
+        if domain is not None:
+            domains[a.name] = domain
 
     attr_map = {a.name: a for a in attrs}
     init_sig = signatures[method.init_place]
@@ -643,6 +606,8 @@ def flat_run_language(flat: FlatNet, initial: dict, max_len: int = 40,
                       max_runs: int = 20000) -> set:
     """The set of origin-transition firing sequences of maximal runs, with
     internal copy transitions erased."""
+    # the first transition of a name, as a scan would find it
+    origins = {t.name: t.origin for t in reversed(flat.transitions)}
     out = set()
     stack = [(canonical_marking(initial), initial, ())]
     seen_prefix = set()
@@ -659,8 +624,7 @@ def flat_run_language(flat: FlatNet, initial: dict, max_len: int = 40,
             out.add(word)
             continue
         for tname, _, succ in succs:
-            origin = next((t.origin for t in flat.transitions
-                           if t.name == tname), None)
+            origin = origins[tname]
             new_word = word + (origin,) if origin else word
             stack.append((canonical_marking(succ), succ, new_word))
         if len(out) > max_runs:

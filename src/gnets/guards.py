@@ -303,7 +303,8 @@ def parse_expr(text: str) -> Expr:
 
 # --- Printing --------------------------------------------------------------
 
-def _lit_text(value):
+def lit_text(value):
+    """A value in the inscription syntax: true, false, "text" or a number."""
     if value is True:
         return "true"
     if value is False:
@@ -318,7 +319,7 @@ _EXPR_PREC = {"+": 1, "-": 1, "*": 2}
 
 def print_expr(e: Expr, _parent_prec=0) -> str:
     if isinstance(e, Lit):
-        return _lit_text(e.value)
+        return lit_text(e.value)
     if isinstance(e, Var):
         return e.name
     prec = _EXPR_PREC[e.op]
@@ -454,6 +455,18 @@ def subst_expr(e: Expr, mapping: dict) -> Expr:
     if isinstance(e, Var):
         return mapping.get(e.name, e)
     return BinOp(e.op, subst_expr(e.left, mapping), subst_expr(e.right, mapping))
+
+
+def subst_condition(c: Condition, mapping: dict) -> Condition:
+    if isinstance(c, Atom):
+        return Atom(subst_expr(c.expr, mapping))
+    if isinstance(c, Compare):
+        return Compare(subst_expr(c.left, mapping), c.op,
+                       subst_expr(c.right, mapping))
+    if isinstance(c, Not):
+        return Not(subst_condition(c.operand, mapping))
+    return type(c)(subst_condition(c.left, mapping),
+                   subst_condition(c.right, mapping))
 
 
 def compile_actions(a: ActionSeq) -> dict:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from . import guards
@@ -20,6 +21,12 @@ def natural_key(ident: str):
     """Sort key that orders p2 before p10."""
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", ident))
+
+
+def apart(suffix: str):
+    """The id renaming that appends RENAME_SEP and `suffix`: the renamed ids
+    are disjoint from every user id."""
+    return lambda ident: f"{ident}{RENAME_SEP}{suffix}"
 
 
 class PlaceKind(Enum):
@@ -102,6 +109,19 @@ class GspSpec:
                 return a
         return None
 
+    def domain(self, name):
+        """The values a variable named after an attribute ranges over when
+        nothing binds it: the declared domain, else both bools for a bool
+        attribute; None when neither applies."""
+        attr = self.attribute(name)
+        if attr is None:
+            return None
+        if attr.domain is not None:
+            return tuple(attr.domain)
+        if attr.value_type == "bool":
+            return (False, True)
+        return None
+
 
 @dataclass(frozen=True)
 class InternalStructure:
@@ -113,36 +133,71 @@ class InternalStructure:
     actions: tuple = ()  # tuple[(tid, ActionSeq), ...]
     labels: tuple = ()  # tuple[(pid, Label), ...]
 
-    # -- dict-style views (constructed lazily, cached per instance) --------
+    # -- views: each built on first use and cached per instance; callers
+    # must not mutate them --------------------------------------------------
+    @cached_property
     def place_map(self):
         return {p.id: p for p in self.places}
 
+    @cached_property
     def inscription_map(self):
         return dict(self.inscriptions)
 
+    @cached_property
     def condition_map(self):
         return dict(self.conditions)
 
+    @cached_property
     def action_map(self):
         return dict(self.actions)
 
+    @cached_property
     def label_map(self):
         return dict(self.labels)
 
     def place_ids(self):
-        return {p.id for p in self.places}
+        return set(self.place_map)
 
-    def pre(self, tid):
-        return sorted((s for s, t in self.arcs if t == tid), key=natural_key)
+    @cached_property
+    def _presets(self):
+        return _sorted_neighbours((b, a) for a, b in self.arcs)
 
-    def post(self, tid):
-        return sorted((t for s, t in self.arcs if s == tid), key=natural_key)
+    @cached_property
+    def _postsets(self):
+        return _sorted_neighbours(self.arcs)
 
-    def pre_place(self, pid):
-        return sorted((s for s, t in self.arcs if t == pid), key=natural_key)
+    def pre(self, node):
+        """The sources of the arcs into `node`, in natural order."""
+        return self._presets.get(node, ())
 
-    def post_place(self, pid):
-        return sorted((t for s, t in self.arcs if s == pid), key=natural_key)
+    def post(self, node):
+        """The targets of the arcs out of `node`, in natural order."""
+        return self._postsets.get(node, ())
+
+    def renamed(self, fn):
+        """The same structure with every place and transition id mapped
+        through `fn`."""
+        return InternalStructure(
+            places=tuple(replace(p, id=fn(p.id)) for p in self.places),
+            transitions=tuple(fn(t) for t in self.transitions),
+            arcs=tuple((fn(a), fn(b)) for a, b in self.arcs),
+            inscriptions=tuple(((fn(a), fn(b)), ins)
+                               for (a, b), ins in self.inscriptions),
+            conditions=tuple((fn(t), c) for t, c in self.conditions),
+            actions=tuple((fn(t), a) for t, a in self.actions),
+            labels=tuple((fn(p), lab) for p, lab in self.labels),
+        )
+
+
+def _sorted_neighbours(pairs):
+    """node -> tuple of the nodes it is paired with, in natural order."""
+    out = {}
+    for node, other in pairs:
+        out.setdefault(node, []).append(other)
+    # a single neighbour needs no sort, and no sort key computed
+    return {node: tuple(others) if len(others) == 1
+            else tuple(sorted(others, key=natural_key))
+            for node, others in out.items()}
 
 
 @dataclass(frozen=True)
@@ -216,10 +271,11 @@ def validate(ws: WebService) -> ValidationReport:
 
     net = ws.net
     struct = net.internal
-    place_map = struct.place_map()
+    place_map = struct.place_map
     pids = set(place_map)
     tids = set(struct.transitions)
-    labels = struct.label_map()
+    labels = struct.label_map
+    arc_set = set(struct.arcs)
 
     if len(place_map) != len(struct.places):
         report.add("places", "duplicate-place", "duplicate place ids")
@@ -228,6 +284,8 @@ def validate(ws: WebService) -> ValidationReport:
     if pids & tids:
         report.add("net", "id-clash",
                    f"ids used as both place and transition: {sorted(pids & tids)}")
+    if len(arc_set) != len(struct.arcs):
+        report.add("arcs", "duplicate-arc", "duplicate arcs")
 
     for src, tgt in struct.arcs:
         src_p, tgt_p = src in pids, tgt in pids
@@ -313,14 +371,13 @@ def validate(ws: WebService) -> ValidationReport:
                 report.add(a.name, "attr-domain-type",
                            f"domain member {v!r} is not of type {a.value_type}")
 
-    arc_set = set(struct.arcs)
     for key, _ in struct.inscriptions:
         if key not in arc_set:
             report.add(f"arc {key[0]}->{key[1]}", "inscription-domain",
                        "inscription on a non-existent arc")
         elif key[0] in pids:
-            ins = dict(struct.inscriptions)[key]
-            if any(not isinstance(e, guards.Var) for e in ins):
+            if any(not isinstance(e, guards.Var)
+                   for e in struct.inscription_map[key]):
                 report.add(f"arc {key[0]}->{key[1]}", "input-pattern",
                            "input-arc inscriptions must be variable patterns")
     for tid, _ in struct.conditions:
@@ -340,28 +397,14 @@ def rename_apart(ws: WebService, suffix: str) -> WebService:
     guaranteeing disjointness from the original id sets."""
     if not suffix:
         raise ValueError("suffix must be non-empty")
-
-    def rn(ident):
-        return f"{ident}{RENAME_SEP}{suffix}"
-
-    struct = ws.net.internal
-    new_struct = InternalStructure(
-        places=tuple(replace(p, id=rn(p.id)) for p in struct.places),
-        transitions=tuple(rn(t) for t in struct.transitions),
-        arcs=tuple((rn(s), rn(t)) for s, t in struct.arcs),
-        inscriptions=tuple(((rn(s), rn(t)), ins)
-                           for (s, t), ins in struct.inscriptions),
-        conditions=tuple((rn(t), c) for t, c in struct.conditions),
-        actions=tuple((rn(t), a) for t, a in struct.actions),
-        labels=tuple((rn(p), lab) for p, lab in struct.labels),
-    )
+    rn = apart(suffix)
     new_methods = tuple(
         replace(m, init_place=rn(m.init_place),
                 goal_places=frozenset(rn(g) for g in m.goal_places))
         for m in ws.net.gsp.methods)
     return replace(ws, net=GNetModel(
         gsp=replace(ws.net.gsp, methods=new_methods),
-        internal=new_struct))
+        internal=ws.net.internal.renamed(rn)))
 
 
 # --- Block fragments -------------------------------------------------------
@@ -406,22 +449,6 @@ class BlockFragment:
             seen.add(n)
             stack.extend(adj[n])
         return seen == nodes
-
-
-def rename_block(block: BlockFragment, suffix: str) -> BlockFragment:
-    def rn(ident):
-        return f"{ident}{RENAME_SEP}{suffix}"
-
-    s = block.structure
-    return BlockFragment(InternalStructure(
-        places=tuple(replace(p, id=rn(p.id)) for p in s.places),
-        transitions=tuple(rn(t) for t in s.transitions),
-        arcs=tuple((rn(a), rn(b)) for a, b in s.arcs),
-        inscriptions=tuple(((rn(a), rn(b)), ins) for (a, b), ins in s.inscriptions),
-        conditions=tuple((rn(t), c) for t, c in s.conditions),
-        actions=tuple((rn(t), a) for t, a in s.actions),
-        labels=tuple((rn(p), lab) for p, lab in s.labels),
-    ))
 
 
 # --- Registry --------------------------------------------------------------

@@ -24,16 +24,6 @@ from .errors import ParseError
 from .model import IspRef, OpLabel, PlaceKind, WebService, natural_key
 
 
-def _value_text(v):
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, str):
-        return '"%s"' % v
-    return str(v)
-
-
 def _tuple_text(fields):
     return "<." + ", ".join(fields) + ".>"
 
@@ -80,7 +70,7 @@ def export_prod(flat: FlatNet) -> str:
     for pname in sorted(flat.places, key=natural_key):
         tokens = flat.initial.get(pname, [])
         if tokens:
-            marks = "+".join(_tuple_text([_value_text(v) for v in tok])
+            marks = "+".join(_tuple_text([guards.lit_text(v) for v in tok])
                              for tok in tokens)
             lines.append(f"#place {pname} mk({marks})")
         else:
@@ -212,7 +202,7 @@ def _dot_escape(text):
 
 def export_dot(ws: WebService) -> str:
     struct = ws.net.internal
-    labels = struct.label_map()
+    labels = struct.label_map
     lines = [f'digraph "{_dot_escape(ws.name)}" {{', "  rankdir=LR;"]
     for p in struct.places:
         lab = labels.get(p.id)

@@ -9,7 +9,7 @@ becomes consumable downstream only once that call has returned.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 from . import algebra, guards
@@ -79,7 +79,7 @@ def init_state(ws: WebService, method_name: str, args=(), registry=None,
             f"{ws.name}.{method_name} takes {len(method.params)} argument(s), "
             f"got {len(args)}")
     fields = {pname: value for (pname, _), value in zip(method.params, args)}
-    init_place = ws.net.internal.place_map()[method.init_place]
+    init_place = ws.net.internal.place_map[method.init_place]
     token = Token.make(fields,
                        returned=init_place.kind is not PlaceKind.ISP)
     env = {a.name: a.initial for a in ws.net.gsp.attributes
@@ -92,17 +92,6 @@ def init_state(ws: WebService, method_name: str, args=(), registry=None,
 
 
 # --- Enabling --------------------------------------------------------------
-
-def _effective_domain(ws, name):
-    attr = ws.net.gsp.attribute(name)
-    if attr is None:
-        return None
-    if attr.domain is not None:
-        return tuple(attr.domain)
-    if attr.value_type == "bool":
-        return (False, True)
-    return None
-
 
 def _match_pattern(pattern, token, binding, env):
     """Bind the pattern variables of one input arc against a token.  Returns
@@ -129,105 +118,98 @@ def _match_pattern(pattern, token, binding, env):
 
 def _needed_vars(struct, tid):
     needed = set()
-    cond = struct.condition_map().get(tid)
+    cond = struct.condition_map.get(tid)
     if cond is not None:
         needed |= guards.condition_vars(cond)
-    needed |= guards.action_vars(struct.action_map().get(tid, ()))
-    ins_map = struct.inscription_map()
+    needed |= guards.action_vars(struct.action_map.get(tid, ()))
     for q in struct.post(tid):
-        for expr in ins_map.get((tid, q), ()):
+        for expr in struct.inscription_map.get((tid, q), ()):
             needed |= guards.expr_vars(expr)
     return needed
 
 
-def _enabled_detail(state: SimState):
-    """All (transition, binding, token-combo) triples currently fireable."""
+def _bindings(state: SimState, tid: str):
+    """Yield the (binding, token combo) pairs that make `tid` fireable in
+    the current marking, in enumeration order."""
     struct = state.ws.net.internal
     marking = state.marking_map()
     env = state.env_map()
-    ins_map = struct.inscription_map()
-    cond_map = struct.condition_map()
-    results = []
-    for tid in sorted(struct.transitions, key=natural_key):
-        pre = struct.pre(tid)
-        pools = []
-        for pid in pre:
-            toks = [t for t in marking.get(pid, ()) if t.returned]
-            if not toks:
-                pools = None
-                break
-            pools.append([(pid, t) for t in toks])
-        if pools is None:
-            continue
-        for combo in product(*pools):
-            binding = {}
-            ok = True
-            for pid, token in combo:
-                pattern = ins_map.get((pid, tid))
-                if not pattern:
-                    continue
+    ins_map = struct.inscription_map
+    pools = []
+    for pid in struct.pre(tid):
+        toks = [t for t in marking.get(pid, ()) if t.returned]
+        if not toks:
+            return
+        pools.append([(pid, t) for t in toks])
+    cond = struct.condition_map.get(tid)
+    for combo in product(*pools):
+        binding = {}
+        for pid, token in combo:
+            pattern = ins_map.get((pid, tid))
+            if pattern:
                 binding = _match_pattern(pattern, token, binding, env)
                 if binding is None:
-                    ok = False
                     break
-            if not ok:
+        if binding is None:
+            continue
+        # remaining variables resolve from consumed token fields, the
+        # frame env, then declared domains
+        merged_fields = {}
+        for _, token in combo:
+            merged_fields.update(token.field_map())
+        pattern_vars = set()
+        for pid, _ in combo:
+            for expr in ins_map.get((pid, tid), ()):
+                pattern_vars.add(expr.name)
+        needed = (_needed_vars(struct, tid) | pattern_vars)
+        enum_vars = []
+        for name in sorted(needed):
+            if name in binding or name in env:
                 continue
-            # remaining variables resolve from consumed token fields, the
-            # frame env, then declared domains
-            merged_fields = {}
-            for _, token in combo:
-                merged_fields.update(token.field_map())
-            pattern_vars = set()
-            for pid, _ in combo:
-                for expr in ins_map.get((pid, tid), ()):
-                    pattern_vars.add(expr.name)
-            needed = (_needed_vars(struct, tid) | pattern_vars)
-            enum_vars = []
-            for name in sorted(needed):
-                if name in binding or name in env:
-                    continue
-                if name in merged_fields:
-                    binding[name] = merged_fields[name]
-                    continue
-                domain = _effective_domain(state.ws, name)
-                if domain is None:
-                    raise UnboundFreeVariable(name)
-                enum_vars.append((name, domain))
-            for values in product(*(d for _, d in enum_vars)):
-                full = dict(binding)
-                full.update({n: v for (n, _), v in zip(enum_vars, values)})
-                scope = {**env, **full}
-                cond = cond_map.get(tid)
-                if cond is not None and not guards.eval_condition(cond, scope):
-                    continue
-                results.append((tid, full, combo))
+            if name in merged_fields:
+                binding[name] = merged_fields[name]
+                continue
+            domain = state.ws.net.gsp.domain(name)
+            if domain is None:
+                raise UnboundFreeVariable(name)
+            enum_vars.append((name, domain))
+        for values in product(*(d for _, d in enum_vars)):
+            full = dict(binding)
+            full.update({n: v for (n, _), v in zip(enum_vars, values)})
+            scope = {**env, **full}
+            if cond is not None and not guards.eval_condition(cond, scope):
+                continue
+            yield full, combo
+
+
+def enabled(state: SimState):
+    """The (transition, binding) pairs fireable in the current marking."""
+    results = [(tid, binding)
+               for tid in sorted(state.ws.net.internal.transitions,
+                                 key=natural_key)
+               for binding, _ in _bindings(state, tid)]
     results.sort(key=lambda r: (natural_key(r[0]), sorted(r[1].items(),
                                                           key=repr)))
     return results
 
 
-def enabled(state: SimState):
-    """The (transition, binding) pairs fireable in the current marking."""
-    return [(tid, binding) for tid, binding, _ in _enabled_detail(state)]
-
-
 # --- Firing ----------------------------------------------------------------
 
 def fire(state: SimState, tid: str, binding: dict) -> SimState:
-    detail = None
-    for cand_tid, cand_binding, combo in _enabled_detail(state):
-        if cand_tid == tid and cand_binding == dict(binding):
-            detail = (cand_binding, combo)
-            break
-    if detail is None:
-        raise NotEnabled(f"{tid} with binding {dict(binding)!r}")
-    binding, combo = detail
-
     struct = state.ws.net.internal
+    wanted = dict(binding)
+    found = None
+    if tid in struct.transitions:
+        found = next((pair for pair in _bindings(state, tid)
+                      if pair[0] == wanted), None)
+    if found is None:
+        raise NotEnabled(f"{tid} with binding {wanted!r}")
+    binding, combo = found
+
     env = state.env_map()
     attrs = {a.name for a in state.ws.net.gsp.attributes}
     scope = {**env, **binding}
-    actions = struct.action_map().get(tid, ())
+    actions = struct.action_map.get(tid, ())
     for assign in actions:
         if assign.target not in attrs and assign.target not in scope:
             raise guards.UnboundVariable(assign.target)
@@ -244,8 +226,8 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
         marking[pid].remove(token)
         consumed_log.append((pid, token.fields))
 
-    ins_map = struct.inscription_map()
-    place_map = struct.place_map()
+    ins_map = struct.inscription_map
+    place_map = struct.place_map
     produced_log = []
     merged = {}
     for _, token in combo:
@@ -278,7 +260,7 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
 # --- ISP invocation --------------------------------------------------------
 
 def _pending_isps(state: SimState):
-    place_map = state.ws.net.internal.place_map()
+    place_map = state.ws.net.internal.place_map
     out = []
     for pid, toks in state.marking:
         if place_map[pid].kind is PlaceKind.ISP and any(
@@ -296,7 +278,7 @@ def _settle(state: SimState) -> SimState:
 
 
 def invoke_isp(state: SimState, pid: str) -> SimState:
-    place = state.ws.net.internal.place_map()[pid]
+    place = state.ws.net.internal.place_map[pid]
     marking = {p: list(toks) for p, toks in state.marking}
     token = next(t for t in marking[pid] if not t.returned)
 

@@ -43,7 +43,7 @@ class TestConstructors:
 
     def test_atomic(self, s1):
         assert counts(s1) == (2, 1, 2)
-        labels = s1.net.internal.label_map()
+        labels = s1.net.internal.label_map
         assert labels["p1"] == OpLabel("op-one")
         assert isinstance(labels["p2"], GoalLabel)
         assert validate(s1).ok
@@ -97,8 +97,8 @@ class TestDiscriminator:
     def test_guards_and_actions(self, s1, s2, s3):
         ws = algebra.discriminator([s1, s2], s3)
         struct = ws.net.internal
-        conds = struct.condition_map()
-        acts = struct.action_map()
+        conds = struct.condition_map
+        acts = struct.action_map
         assert guards.print_condition(conds["t4"]) == "B == true"
         assert guards.print_condition(conds["t6"]) == "B == false"
         assert guards.print_action(acts["t1"]) == "B := true"
@@ -122,16 +122,16 @@ class TestSelection:
     def test_route_guards(self, s1, s2):
         ops = [algebra.with_request_method(s) for s in (s1, s2)]
         ws = algebra.selection(ops, choice=1)
-        conds = ws.net.internal.condition_map()
+        conds = ws.net.internal.condition_map
         assert guards.print_condition(conds["t3"]) == "J == 1"
         assert guards.print_condition(conds["t4"]) == "J == 2"
-        acts = ws.net.internal.action_map()
+        acts = ws.net.internal.action_map
         assert guards.print_action(acts["t2"]) == "J := 2"
 
     def test_broadcast_and_route_labels(self, s1, s2):
         ops = [algebra.with_request_method(s) for s in (s1, s2)]
         ws = algebra.selection(ops)
-        labels = ws.net.internal.label_map()
+        labels = ws.net.internal.label_map
         assert labels["p1"] == OpLabel("Create-request")
         assert labels["p4"] == OpLabel("Select-Service")
         assert labels["p2"] == IspRef("S1", "req")
@@ -220,7 +220,7 @@ class TestReplace:
     def test_method_name_mapped(self, s1, s2, s3):
         composed = algebra.sequence(s1, s2)
         swapped = algebra.replace_service(composed, s1, s3)
-        place = swapped.net.internal.place_map()["p1"]
+        place = swapped.net.internal.place_map["p1"]
         assert place.invoked_gnet == "S3"
         assert place.using_method == "Atomic"
 

@@ -48,6 +48,14 @@ class TestValidate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "none.json")]) == 2
 
+    def test_duplicate_arc_exit_1(self, tmp_path, capsys):
+        d = io.service_to_dict(book_order_service())
+        d["net"]["is"]["arcs"].append(["P1", "T1"])
+        path = tmp_path / "doubled.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", str(path)]) == 1
+        assert "duplicate-arc" in capsys.readouterr().out
+
 
 class TestCompose:
     def test_writes_composed_service(self, tmp_path, registry_dir):
@@ -101,6 +109,12 @@ class TestSimulate:
                      "--max-steps", "5"])
         assert code == 3
 
+    def test_zero_max_steps_exit_2(self, book_order_path, capsys):
+        code = main(["simulate", str(book_order_path), "--args", "1",
+                     "--max-steps", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seeded_random_reproducible(self, book_order_path, capsys):
         def output(seed):
             main(["simulate", str(book_order_path), "--args", "1",
@@ -142,6 +156,12 @@ class TestAnalyze:
                      "--max-states", "2"])
         assert code == 4
         assert "truncated: True" in capsys.readouterr().out
+
+    def test_zero_max_states_exit_2(self, book_order_path, capsys):
+        code = main(["analyze", str(book_order_path), "--args", "1",
+                     "--max-states", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestExport:

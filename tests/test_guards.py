@@ -181,3 +181,15 @@ class TestVars:
     def test_subst(self):
         e = guards.subst_expr(parse_expr("x + y"), {"x": Lit(5)})
         assert e == BinOp("+", Lit(5), Var("y"))
+
+    @given(conditions())
+    def test_subst_condition_identity(self, c):
+        identity = {n: Var(n) for n in guards.condition_vars(c)}
+        assert guards.subst_condition(c, identity) == c
+
+    @given(conditions())
+    def test_subst_condition_renames_vars(self, c):
+        names = guards.condition_vars(c)
+        renamed = guards.subst_condition(
+            c, {n: Var(f"{n}_r") for n in names})
+        assert guards.condition_vars(renamed) == {f"{n}_r" for n in names}

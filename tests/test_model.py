@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
-from fixtures import book_order_service, treat_command_block
-from gnets import algebra
+from fixtures import (book_order_service, treat_command_block,
+                      treat_command_service)
+from gnets import algebra, analysis, dsl
 from gnets.errors import DuplicateService, UnknownBlock, UnknownService
 from gnets.guards import Lit, Var
 from gnets.model import (GOAL, TAU, BlockFragment, GNetModel, GspSpec,
                          InternalStructure, IspRef, MethodSpec, OpLabel,
                          Place, PlaceKind, Registry, Token, WebService,
-                         rename_apart, validate)
+                         natural_key, rename_apart, validate)
 
 
 def make_service(struct, methods=(), attributes=(), name="S"):
@@ -103,6 +106,13 @@ class TestValidate:
         report = validate(make_service(struct))
         assert any(v.rule == "input-pattern" for v in report.violations)
 
+    def test_duplicate_arc(self):
+        ws = algebra.atomic("A", "op")
+        struct = ws.net.internal
+        doubled = replace(struct, arcs=struct.arcs + (("p1", "t1"),))
+        report = validate(replace(ws, net=GNetModel(ws.net.gsp, doubled)))
+        assert [v.rule for v in report.violations] == ["duplicate-arc"]
+
 
 class TestRenameApart:
     def test_basic(self):
@@ -134,6 +144,49 @@ class TestRenameApart:
     def test_empty_suffix_rejected(self):
         with pytest.raises(ValueError):
             rename_apart(book_order_service(), "")
+
+
+def composed_structures():
+    """Structures of composed terms, before and after ISP inlining, and of
+    refined services."""
+    reg = Registry()
+    for name in ("a", "b", "c"):
+        reg.insert(algebra.with_request_method(
+            algebra.atomic(name, f"op-{name}")))
+    reg.insert_block("B", treat_command_block())
+    out = []
+    for term in ("seq(a, par(b, c))", "disc(a, b; c)",
+                 "anyseq(a, iter(b))", "select(a, b)",
+                 'alt(refine(a, "op-a", B), b)'):
+        ws = dsl.eval_expr(dsl.parse_expr(term), reg)
+        reg.insert(ws)
+        inlined = analysis.inline_isps(ws, reg).service
+        out.append(pytest.param(ws.net.internal, id=term))
+        out.append(pytest.param(inlined.net.internal, id=f"inlined {term}"))
+    refined = algebra.refine(treat_command_service(), "Treat-Command",
+                             treat_command_block())
+    out.append(pytest.param(refined.net.internal, id="refined"))
+    out.append(pytest.param(book_order_service().net.internal,
+                            id="book order"))
+    return out
+
+
+class TestStructureViews:
+    @pytest.mark.parametrize("struct", composed_structures())
+    def test_views_equal_a_scan(self, struct):
+        nodes = [p.id for p in struct.places] + list(struct.transitions)
+        for n in nodes:
+            assert list(struct.pre(n)) == sorted(
+                (a for a, b in struct.arcs if b == n), key=natural_key)
+            assert list(struct.post(n)) == sorted(
+                (b for a, b in struct.arcs if a == n), key=natural_key)
+        assert struct.place_map == {p.id: p for p in struct.places}
+        assert struct.inscription_map == dict(struct.inscriptions)
+
+    def test_views_are_cached(self):
+        struct = book_order_service().net.internal
+        assert struct.place_map is struct.place_map
+        assert struct.pre("T1") is struct.pre("T1")
 
 
 class TestBlockFragment:

@@ -63,6 +63,8 @@ class TestEnablingAndFiring:
             sim.fire(state, "T2", {})
         with pytest.raises(NotEnabled):
             sim.fire(state, "T1", {"Available": True, "seq": 99})
+        with pytest.raises(NotEnabled):
+            sim.fire(state, "T99", {})
 
     def test_action_updates_env(self):
         state = sim.init_state(branching_bool_service(), "Branch", ())
