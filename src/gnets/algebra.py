@@ -26,6 +26,17 @@ def main_method(ws: WebService) -> MethodSpec:
     return candidates[0]
 
 
+def invoked_method(ws: WebService, name: str) -> MethodSpec:
+    """The method an ISP invoking `name` on `ws` runs: the named method, or
+    the main method for the "main" placeholder."""
+    method = ws.net.gsp.method(name)
+    if method is not None:
+        return method
+    if name == "main":
+        return main_method(ws)
+    raise UnknownMethod(ws.name, name)
+
+
 def main_method_name(ws: WebService) -> str:
     try:
         return main_method(ws).name
@@ -360,75 +371,30 @@ def refine(s: WebService, op_name: str, block: BlockFragment) -> WebService:
         raise MalformedBlock(
             "block must be connected with non-empty entry and exit sets")
     struct = s.net.internal
-    labels = struct.label_map
-    removed = sorted((pid for pid, lab in labels.items()
-                      if isinstance(lab, OpLabel) and lab.name == op_name),
-                     key=lambda x: x)
+    removed = {pid for pid, lab in struct.labels
+               if isinstance(lab, OpLabel) and lab.name == op_name}
     if not removed:
         return s
-    removed_set = set(removed)
 
     block = BlockFragment(block.structure.renamed(apart("A")))
-    bs = block.structure
     entries, exits = block.entries, block.exits
-
-    inscriptions = struct.inscription_map
-    new_arcs = []
-    new_inscriptions = {}
-    for src, tgt in struct.arcs:
-        if src in removed_set or tgt in removed_set:
-            continue
-        new_arcs.append((src, tgt))
-        if (src, tgt) in inscriptions:
-            new_inscriptions[(src, tgt)] = inscriptions[(src, tgt)]
-    # feeders: transitions with an arc into a removed place
-    for src, tgt in struct.arcs:
-        if tgt in removed_set:  # (t_i, p_k)
-            for entry in entries:
-                new_arcs.append((src, entry))
-                if (src, tgt) in inscriptions:
-                    new_inscriptions.setdefault((src, entry),
-                                                inscriptions[(src, tgt)])
-        if src in removed_set:  # (p_k, t_j)
-            for ex in exits:
-                new_arcs.append((ex, tgt))
-                if (src, tgt) in inscriptions:
-                    new_inscriptions.setdefault((ex, tgt),
-                                                inscriptions[(src, tgt)])
-    new_arcs.extend(bs.arcs)
-    new_inscriptions.update(bs.inscription_map)
-    # deduplicate while keeping first-seen order
-    new_arcs = list(dict.fromkeys(new_arcs))
-
-    places = tuple(p for p in struct.places if p.id not in removed_set) + \
-        bs.places
-    new_labels = tuple((pid, lab) for pid, lab in struct.labels
-                       if pid not in removed_set) + bs.labels
-
     methods = []
     for m in s.net.gsp.methods:
         init = m.init_place
         goals = set(m.goal_places)
-        if init in removed_set:
+        if init in removed:
             if len(entries) != 1:
                 raise MalformedBlock(
                     "refining a method's initial place requires a block "
                     "with a single entry")
             init = entries[0]
-        if goals & removed_set:
-            goals = (goals - removed_set) | set(exits)
+        if goals & removed:
+            goals = (goals - removed) | set(exits)
         methods.append(replace(m, init_place=init,
                                goal_places=frozenset(goals)))
 
-    new_struct = InternalStructure(
-        places=places,
-        transitions=struct.transitions + bs.transitions,
-        arcs=tuple(new_arcs),
-        inscriptions=tuple(sorted(new_inscriptions.items())),
-        conditions=struct.conditions + bs.conditions,
-        actions=struct.actions + bs.actions,
-        labels=new_labels,
-    )
+    new_struct = struct.substituted(
+        [(removed, block.structure, entries, exits)])
     cs = s.component_services | _block_component_services(block)
     return replace(s, name=f"Ref({s.name},{op_name})",
                    desc=f"{s.name} with {op_name} refined",

@@ -91,7 +91,7 @@ def _rename_variables(struct: InternalStructure, mapping: dict):
 def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
                 ) -> InlineResult:
     """Repeatedly replace ISP places by renamed copies of the invoked
-    method's subnet until none remain."""
+    method's subnet until none remain, one round of ISPs at a time."""
     service = ws
     regions: dict[str, set] = {}
     counter = 0
@@ -106,39 +106,36 @@ def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
         if rounds > depth_limit:
             raise DepthLimitExceeded(
                 f"ISP inlining did not terminate within {depth_limit} rounds")
+        attrs = service.net.gsp.attributes
+        groups = []
+        inits = {}  # ISP place id -> init place of its spliced subnet
         for isp in isps:
-            struct = service.net.internal
-            if isp.id not in struct.place_map:
-                continue
             counter += 1
             rn = apart(f"i{counter}")
             svc = reg.lookup(isp.invoked_gnet)
-            method = svc.net.gsp.method(isp.using_method)
-            if method is None and isp.using_method == "main":
-                method = algebra.main_method(svc)
-            if method is None:
-                raise UnknownMethod(svc.name, isp.using_method)
-            method, sub = restrict_to_method(svc, method.name)
+            method, sub = restrict_to_method(
+                svc, algebra.invoked_method(svc, isp.using_method).name)
 
             # avoid attribute-name capture between host and spliced subnet
-            host_attrs = {a.name for a in service.net.gsp.attributes}
+            host_attrs = {a.name for a in attrs}
             var_map = {a.name: rn(a.name) for a in svc.net.gsp.attributes
                        if a.name in host_attrs}
             sub = _rename_variables(sub, var_map).renamed(rn)
+            new_attrs = tuple(replace(a, name=var_map.get(a.name, a.name))
+                              for a in svc.net.gsp.attributes)
+            attrs += tuple(a for a in new_attrs if a.name not in host_attrs)
 
-            service = _splice(service, isp.id, sub,
-                              rn(method.init_place),
-                              {rn(g) for g in method.goal_places})
-            new_attrs = tuple(
-                replace(a, name=var_map.get(a.name, a.name))
-                for a in svc.net.gsp.attributes)
-            gsp = service.net.gsp
-            existing = {a.name for a in gsp.attributes}
-            merged = gsp.attributes + tuple(a for a in new_attrs
-                                            if a.name not in existing)
-            service = replace(service,
-                              net=GNetModel(replace(gsp, attributes=merged),
-                                            service.net.internal))
+            # the invoked method's goals become plain places of the host
+            goals = {rn(g) for g in method.goal_places}
+            sub = replace(
+                sub,
+                places=tuple(replace(p, kind=PlaceKind.NORMAL)
+                             if p.id in goals else p for p in sub.places),
+                labels=tuple(sorted(
+                    {**sub.label_map, **dict.fromkeys(goals, TAU)}.items())))
+            inits[isp.id] = rn(method.init_place)
+            groups.append(({isp.id}, sub, (inits[isp.id],),
+                           sorted(goals, key=natural_key)))
 
             spliced = {p.id for p in sub.places}
             for members in regions.values():
@@ -146,61 +143,15 @@ def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
                     members.discard(isp.id)
                     members.update(spliced)
             regions[isp.id] = set(spliced)
+
+        methods = tuple(replace(m, init_place=inits.get(m.init_place,
+                                                        m.init_place))
+                        for m in service.net.gsp.methods)
+        gsp = replace(service.net.gsp, methods=methods, attributes=attrs)
+        service = replace(service,
+                          net=GNetModel(gsp, struct.substituted(groups)))
     return InlineResult(service,
                         {k: frozenset(v) for k, v in regions.items()})
-
-
-def _splice(service: WebService, removed: str, sub: InternalStructure,
-            init_place: str, goal_places: set) -> WebService:
-    struct = service.net.internal
-    ins_map = struct.inscription_map
-    sub_places = []
-    sub_labels = dict(sub.labels)
-    for p in sub.places:
-        if p.id in goal_places:
-            sub_places.append(replace(p, kind=PlaceKind.NORMAL))
-            sub_labels[p.id] = TAU
-        else:
-            sub_places.append(p)
-
-    new_arcs = []
-    new_ins = {}
-    for a, b in struct.arcs:
-        if a == removed:
-            for g in sorted(goal_places, key=natural_key):
-                new_arcs.append((g, b))
-                if (a, b) in ins_map:
-                    new_ins.setdefault((g, b), ins_map[(a, b)])
-        elif b == removed:
-            new_arcs.append((a, init_place))
-            if (a, b) in ins_map:
-                new_ins.setdefault((a, init_place), ins_map[(a, b)])
-        else:
-            new_arcs.append((a, b))
-            if (a, b) in ins_map:
-                new_ins[(a, b)] = ins_map[(a, b)]
-    new_arcs.extend(sub.arcs)
-    new_ins.update(sub.inscription_map)
-    new_arcs = list(dict.fromkeys(new_arcs))
-
-    methods = []
-    for m in service.net.gsp.methods:
-        init = init_place if m.init_place == removed else m.init_place
-        methods.append(replace(m, init_place=init))
-
-    new_struct = InternalStructure(
-        places=tuple(p for p in struct.places if p.id != removed)
-        + tuple(sub_places),
-        transitions=struct.transitions + sub.transitions,
-        arcs=tuple(new_arcs),
-        inscriptions=tuple(sorted(new_ins.items())),
-        conditions=struct.conditions + sub.conditions,
-        actions=struct.actions + sub.actions,
-        labels=tuple((p, lab) for p, lab in struct.labels if p != removed)
-        + tuple(sorted(sub_labels.items())),
-    )
-    gsp = replace(service.net.gsp, methods=tuple(methods))
-    return replace(service, net=GNetModel(gsp, new_struct))
 
 
 # --- Flattening ------------------------------------------------------------
@@ -506,17 +457,15 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
     graph.initial = key_of(state0)
     graph.add_node(graph.initial, marking_of(state0))
     queue = deque([(graph.initial, state0)])
-    seen = {graph.initial}
     while queue:
         key, state = queue.popleft()
         for tid, binding in sim.enabled(state):
             succ = sim.fire(state, tid, binding)
             skey = key_of(succ)
-            if skey not in seen:
+            if skey not in graph.nodes:
                 if len(graph.nodes) >= max_states:
                     graph.truncated = True
                     continue
-                seen.add(skey)
                 graph.add_node(skey, marking_of(succ))
                 queue.append((skey, succ))
             graph.add_edge(key, tid, tuple(sorted(binding.items())), skey)

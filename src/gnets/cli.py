@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import algebra, analysis, dsl, guards, io, prod, sim
-from .errors import GnetError, ParseError
+from .errors import GnetError, InvalidModel, ParseError
 from .model import Registry, validate
 
 EXIT_OK = 0
@@ -52,6 +52,16 @@ def _resolve_method(ws, name):
     return algebra.main_method(ws).name
 
 
+def _load_valid(args):
+    """The model file's service; raises InvalidModel when `validate`
+    rejects it."""
+    ws = io.load_service(args.model)
+    report = validate(ws)
+    if not report.ok:
+        raise InvalidModel(str(report))
+    return ws
+
+
 def cmd_validate(args):
     ws = io.load_service(args.model)
     report = validate(ws)
@@ -81,7 +91,7 @@ def cmd_compose(args):
 
 
 def cmd_simulate(args):
-    ws = io.load_service(args.model)
+    ws = _load_valid(args)
     reg = _registry(args)
     reg.insert(ws)
     config = sim.SimConfig(policy=args.policy, seed=args.seed,
@@ -116,7 +126,7 @@ def _flatten_model(ws, reg, args):
 
 
 def cmd_analyze(args):
-    ws = io.load_service(args.model)
+    ws = _load_valid(args)
     reg = _registry(args)
     service, method, flat = _flatten_model(ws, reg, args)
     goals = analysis.flat_goal_places(method)
@@ -142,7 +152,7 @@ def cmd_analyze(args):
 
 
 def cmd_export(args):
-    ws = io.load_service(args.model)
+    ws = _load_valid(args)
     if args.format == "dot":
         _write_out(args, prod.export_dot(ws))
         return EXIT_OK

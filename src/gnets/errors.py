@@ -95,3 +95,7 @@ class UnflattenableIsp(GnetError):
 
 class UndeclaredPlaceReference(GnetError):
     pass
+
+
+class InvalidModel(GnetError):
+    """A model that `validate` rejects; the message is its report."""

@@ -1,5 +1,6 @@
 """Core data model: web services, their interface (methods/attributes) and
-the internal bipartite net, plus structural validation and renaming.
+the internal bipartite net, plus structural validation, renaming and
+substitution of places by nets.
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Optional
 
 from . import guards
@@ -186,6 +188,51 @@ class InternalStructure:
             conditions=tuple((fn(t), c) for t, c in self.conditions),
             actions=tuple((fn(t), a) for t, a in self.actions),
             labels=tuple((fn(p), lab) for p, lab in self.labels),
+        )
+
+    def substituted(self, groups):
+        """The structure with places replaced by nets.  Each group is
+        (removed place ids, sub, entries, exits): an arc into a removed place
+        is redirected to every entry, an arc out of one leaves from every
+        exit, and a redirected arc keeps the old arc's inscription unless one
+        is already set.  Kept arcs come first, then redirected arcs in the
+        original arc order, then the subs' arcs; the subs' inscriptions are
+        added last."""
+        ends = {pid: (entries, exits)
+                for removed, _, entries, exits in groups for pid in removed}
+        subs = [sub for _, sub, _, _ in groups]
+        ins_map = self.inscription_map
+        arcs = [(a, b) for a, b in self.arcs
+                if a not in ends and b not in ends]
+        inscriptions = {arc: ins_map[arc] for arc in arcs if arc in ins_map}
+        for a, b in self.arcs:
+            if b in ends:
+                redirected = [(a, entry) for entry in ends[b][0]]
+            elif a in ends:
+                redirected = [(ex, b) for ex in ends[a][1]]
+            else:
+                continue
+            arcs += redirected
+            if (a, b) in ins_map:
+                for arc in redirected:
+                    inscriptions.setdefault(arc, ins_map[(a, b)])
+        for sub in subs:
+            arcs += sub.arcs
+            inscriptions.update(sub.inscription_map)
+        return InternalStructure(
+            places=tuple(chain((p for p in self.places if p.id not in ends),
+                               *(sub.places for sub in subs))),
+            transitions=tuple(chain(self.transitions,
+                                    *(sub.transitions for sub in subs))),
+            arcs=tuple(dict.fromkeys(arcs)),
+            inscriptions=tuple(sorted(inscriptions.items())),
+            conditions=tuple(chain(self.conditions,
+                                   *(sub.conditions for sub in subs))),
+            actions=tuple(chain(self.actions,
+                                *(sub.actions for sub in subs))),
+            labels=tuple(chain(((p, lab) for p, lab in self.labels
+                                if p not in ends),
+                               *(sub.labels for sub in subs))),
         )
 
 

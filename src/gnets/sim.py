@@ -290,12 +290,7 @@ def invoke_isp(state: SimState, pid: str) -> SimState:
         from .errors import UnknownService
         raise UnknownService(place.invoked_gnet)
     svc = state.registry.lookup(place.invoked_gnet)
-    method = svc.net.gsp.method(place.using_method)
-    if method is None:
-        if place.using_method == "main":
-            method = algebra.main_method(svc)
-        else:
-            raise UnknownMethod(svc.name, place.using_method)
+    method = algebra.invoked_method(svc, place.using_method)
 
     fields = token.field_map()
     args = []

@@ -180,6 +180,17 @@ class TestRefine:
         assert ("b4§A", "u2") in arcs
         assert not any("q2" in arc for arc in arcs)
 
+    def test_arc_order(self):
+        refined = algebra.refine(treat_command_service(), "Treat-Command",
+                                 treat_command_block())
+        # kept arcs, then redirected arcs in the original order, then the
+        # block's arcs
+        assert refined.net.internal.arcs == (
+            ("q1", "u1"), ("u2", "q3"), ("q3", "u3"), ("u3", "q4"),
+            ("u1", "b1§A"), ("b4§A", "u2"),
+            ("b1§A", "bt1§A"), ("bt1§A", "b2§A"), ("b2§A", "bt2§A"),
+            ("bt2§A", "b3§A"), ("b3§A", "bt3§A"), ("bt3§A", "b4§A"))
+
     def test_unknown_operation_is_identity(self):
         base = treat_command_service()
         assert algebra.refine(base, "No-Such-Op", treat_command_block()) is base

@@ -26,6 +26,15 @@ def book_order_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def doubled_arc_path(tmp_path):
+    d = io.service_to_dict(book_order_service())
+    d["net"]["is"]["arcs"].append(["P1", "T1"])
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
 def compose_file(tmp_path, text):
     path = tmp_path / "term.gnet"
     path.write_text(text)
@@ -48,13 +57,19 @@ class TestValidate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "none.json")]) == 2
 
-    def test_duplicate_arc_exit_1(self, tmp_path, capsys):
-        d = io.service_to_dict(book_order_service())
-        d["net"]["is"]["arcs"].append(["P1", "T1"])
-        path = tmp_path / "doubled.json"
-        path.write_text(json.dumps(d))
-        assert main(["validate", str(path)]) == 1
+    def test_duplicate_arc_exit_1(self, doubled_arc_path, capsys):
+        assert main(["validate", str(doubled_arc_path)]) == 1
         assert "duplicate-arc" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["analyze"], ["export", "--format", "prod"]])
+    def test_loaded_model_is_validated(self, doubled_arc_path, command,
+                                       capsys):
+        argv = [command[0], str(doubled_arc_path), *command[1:]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "[duplicate-arc]" in captured.err
+        assert captured.out == ""
 
 
 class TestCompose:

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (book_order_service, treat_command_block,
                       treat_command_service)
@@ -10,7 +12,8 @@ from gnets.guards import Lit, Var
 from gnets.model import (GOAL, TAU, BlockFragment, GNetModel, GspSpec,
                          InternalStructure, IspRef, MethodSpec, OpLabel,
                          Place, PlaceKind, Registry, Token, WebService,
-                         natural_key, rename_apart, validate)
+                         apart, natural_key, rename_apart, validate)
+from test_dsl import make_registry, terms
 
 
 def make_service(struct, methods=(), attributes=(), name="S"):
@@ -187,6 +190,58 @@ class TestStructureViews:
         struct = book_order_service().net.internal
         assert struct.place_map is struct.place_map
         assert struct.pre("T1") is struct.pre("T1")
+
+
+def substitution_group(data, removed, sub):
+    ids = [p.id for p in sub.places]
+    ends = st.lists(st.sampled_from(ids), min_size=1, max_size=3,
+                    unique=True)
+    return removed, sub, data.draw(ends), data.draw(ends)
+
+
+class TestSubstituted:
+    @given(terms(), terms(), terms(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_two_groups_at_once_equal_one_after_the_other(
+            self, host_term, term1, term2, data):
+        reg = make_registry()
+        host, sub1, sub2 = (dsl.eval_expr(t, reg).net.internal
+                            for t in (host_term, term1, term2))
+        pids = [p.id for p in host.places]
+        owner = data.draw(st.lists(st.sampled_from((0, 1, 2)),
+                                   min_size=len(pids), max_size=len(pids)))
+        group1 = substitution_group(
+            data, {p for p, o in zip(pids, owner) if o == 1},
+            sub1.renamed(apart("g1")))
+        group2 = substitution_group(
+            data, {p for p, o in zip(pids, owner) if o == 2},
+            sub2.renamed(apart("g2")))
+
+        at_once = host.substituted([group1, group2])
+        one_by_one = host.substituted([group1]).substituted([group2])
+        assert set(at_once.arcs) == set(one_by_one.arcs)
+        assert len(set(at_once.arcs)) == len(at_once.arcs)
+        assert replace(at_once, arcs=()) == replace(one_by_one, arcs=())
+
+    def test_redirected_arc_keeps_inscription(self):
+        host = InternalStructure(
+            places=(Place("a"), Place("x"), Place("b")),
+            transitions=("t", "u"),
+            arcs=(("a", "t"), ("t", "x"), ("x", "u"), ("u", "b")),
+            inscriptions=((("t", "x"), (Var("v"),)),
+                          (("x", "u"), (Var("w"),))),
+            labels=(("a", TAU), ("x", TAU), ("b", TAU)))
+        sub = InternalStructure(
+            places=(Place("e"), Place("f")), transitions=("s",),
+            arcs=(("e", "s"), ("s", "f")),
+            labels=(("e", TAU), ("f", TAU)))
+        out = host.substituted([({"x"}, sub, ("e",), ("f",))])
+        assert out.arcs == (("a", "t"), ("u", "b"), ("t", "e"), ("f", "u"),
+                            ("e", "s"), ("s", "f"))
+        assert out.inscription_map == {("t", "e"): (Var("v"),),
+                                       ("f", "u"): (Var("w"),)}
+        assert [p.id for p in out.places] == ["a", "b", "e", "f"]
+        assert out.transitions == ("t", "u", "s")
 
 
 class TestBlockFragment:
