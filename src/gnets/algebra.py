@@ -88,7 +88,7 @@ def atomic(name: str, op_name: str) -> WebService:
     )
 
 
-def with_request_method(ws: WebService, echo_field: str = "r") -> WebService:
+def with_request_method(ws: WebService) -> WebService:
     """Extend a service with a trivial `req` method so it can participate in
     a selection: a one-transition subnet that echoes the request field."""
     if ws.net.gsp.method("req") is not None:
@@ -104,28 +104,27 @@ def with_request_method(ws: WebService, echo_field: str = "r") -> WebService:
         transitions=struct.transitions + (rt1,),
         arcs=struct.arcs + ((rq1, rt1), (rt1, rq2)),
         inscriptions=struct.inscriptions
-        + (((rt1, rq2), (guards.Var(echo_field),)),),
+        + (((rt1, rq2), (guards.Var("r"),)),),
         labels=struct.labels + ((rq1, OpLabel("answer-request")), (rq2, GOAL)),
     )
     req = MethodSpec("req", "answer a selection request",
-                     ((echo_field, "request"),), rq1, frozenset({rq2}))
+                     (("r", "request"),), rq1, frozenset({rq2}))
     gsp = replace(ws.net.gsp, methods=ws.net.gsp.methods + (req,))
     return replace(ws, net=GNetModel(gsp=gsp, internal=new_struct))
 
 
-def _compose_meta(op, operands):
+def _composite(op, description, operands, struct, goal, params=(),
+               attributes=()):
+    """The `op` composite of `operands` over the skeleton `struct`: one
+    method `op` from p1 to `goal`, and the operands' component services."""
+    method = MethodSpec(op, description, params, "p1", frozenset({goal}))
     names = ",".join(s.name for s in operands)
-    return {
-        "name": f"{op}({names})",
-        "desc": f"{op} composition of {names}",
-    }
-
-
-def _union_cs(operands):
-    cs = frozenset()
-    for s in operands:
-        cs |= s.component_services
-    return cs
+    return WebService(
+        name=f"{op}({names})", desc=f"{op} composition of {names}",
+        component_services=frozenset().union(
+            *(s.component_services for s in operands)),
+        net=GNetModel(GspSpec(methods=(method,), attributes=attributes),
+                      struct))
 
 
 def sequence(s1: WebService, s2: WebService) -> WebService:
@@ -137,11 +136,8 @@ def sequence(s1: WebService, s2: WebService) -> WebService:
         arcs=(("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p3")),
         labels=(("p1", l1), ("p2", l2), ("p3", GOAL)),
     )
-    method = MethodSpec("Seq", "run the operands in order", (), "p1",
-                        frozenset({"p3"}))
-    meta = _compose_meta("Seq", (s1, s2))
-    return WebService(component_services=_union_cs((s1, s2)),
-                      net=GNetModel(GspSpec(methods=(method,)), struct), **meta)
+    return _composite("Seq", "run the operands in order", (s1, s2), struct,
+                      "p3")
 
 
 def alternative(s1: WebService, s2: WebService) -> WebService:
@@ -154,11 +150,8 @@ def alternative(s1: WebService, s2: WebService) -> WebService:
               ("p1", "t2"), ("t2", "p3"), ("p3", "t4"), ("t4", "p4")),
         labels=(("p1", TAU), ("p2", l2), ("p3", l3), ("p4", GOAL)),
     )
-    method = MethodSpec("Alt", "run exactly one operand", (), "p1",
-                        frozenset({"p4"}))
-    meta = _compose_meta("Alt", (s1, s2))
-    return WebService(component_services=_union_cs((s1, s2)),
-                      net=GNetModel(GspSpec(methods=(method,)), struct), **meta)
+    return _composite("Alt", "run exactly one operand", (s1, s2), struct,
+                      "p4")
 
 
 def iteration(s: WebService) -> WebService:
@@ -169,11 +162,8 @@ def iteration(s: WebService) -> WebService:
         arcs=(("p1", "t1"), ("t1", "p1"), ("p1", "t2"), ("t2", "p2")),
         labels=(("p1", l1), ("p2", GOAL)),
     )
-    method = MethodSpec("Iter", "run the operand repeatedly", (), "p1",
-                        frozenset({"p2"}))
-    meta = _compose_meta("Iter", (s,))
-    return WebService(component_services=s.component_services,
-                      net=GNetModel(GspSpec(methods=(method,)), struct), **meta)
+    return _composite("Iter", "run the operand repeatedly", (s,), struct,
+                      "p2")
 
 
 def arbitrary_sequence(s1: WebService, s2: WebService) -> WebService:
@@ -196,11 +186,8 @@ def arbitrary_sequence(s1: WebService, s2: WebService) -> WebService:
         arcs=arcs,
         labels=labels,
     )
-    method = MethodSpec("ArbSeq", "run the operands in either order, never "
-                        "concurrently", (), "p1", frozenset({"p9"}))
-    meta = _compose_meta("ArbSeq", (s1, s2))
-    return WebService(component_services=_union_cs((s1, s2)),
-                      net=GNetModel(GspSpec(methods=(method,)), struct), **meta)
+    return _composite("ArbSeq", "run the operands in either order, never "
+                      "concurrently", (s1, s2), struct, "p9")
 
 
 def parallel(s1: WebService, s2: WebService) -> WebService:
@@ -213,11 +200,8 @@ def parallel(s1: WebService, s2: WebService) -> WebService:
               ("p2", "t2"), ("p3", "t2"), ("t2", "p4")),
         labels=(("p1", TAU), ("p2", l2), ("p3", l3), ("p4", GOAL)),
     )
-    method = MethodSpec("Par", "run the operands concurrently and join", (),
-                        "p1", frozenset({"p4"}))
-    meta = _compose_meta("Par", (s1, s2))
-    return WebService(component_services=_union_cs((s1, s2)),
-                      net=GNetModel(GspSpec(methods=(method,)), struct), **meta)
+    return _composite("Par", "run the operands concurrently and join",
+                      (s1, s2), struct, "p4")
 
 
 def discriminator(first_n, last: WebService) -> WebService:
@@ -272,13 +256,10 @@ def discriminator(first_n, last: WebService) -> WebService:
         actions=actions,
         labels=tuple(labels),
     )
-    method = MethodSpec("Disc", "first racer to finish triggers the "
-                        "continuation", (), "p1", frozenset({f"p{n + 3}"}))
-    gsp = GspSpec(methods=(method,),
-                  attributes=(AttributeSpec("B", "bool", initial=False),))
-    meta = _compose_meta("Disc", tuple(first_n) + (last,))
-    return WebService(component_services=_union_cs(tuple(first_n) + (last,)),
-                      net=GNetModel(gsp, struct), **meta)
+    return _composite(
+        "Disc", "first racer to finish triggers the continuation",
+        first_n + [last], struct, f"p{n + 3}",
+        attributes=(AttributeSpec("B", "bool", initial=False),))
 
 
 def selection(services, choice: int = 0) -> WebService:
@@ -347,15 +328,11 @@ def selection(services, choice: int = 0) -> WebService:
         actions=actions,
         labels=tuple(labels),
     )
-    method = MethodSpec("Select", "choose and run one operand",
-                        (("r", "request"),), "p1",
-                        frozenset({f"p{2 * n + 3}"}))
-    gsp = GspSpec(methods=(method,),
-                  attributes=(AttributeSpec("J", "int", initial=0),
-                              AttributeSpec("r", "string", initial="")))
-    meta = _compose_meta("Select", services)
-    return WebService(component_services=_union_cs(services),
-                      net=GNetModel(gsp, struct), **meta)
+    return _composite(
+        "Select", "choose and run one operand", services, struct,
+        f"p{2 * n + 3}", params=(("r", "request"),),
+        attributes=(AttributeSpec("J", "int", initial=0),
+                    AttributeSpec("r", "string", initial="")))
 
 
 def _block_component_services(block: BlockFragment):

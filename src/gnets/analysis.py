@@ -88,6 +88,38 @@ def _rename_variables(struct: InternalStructure, mapping: dict):
     )
 
 
+def _invoked_subnet(svc: WebService, method_name: str, rn, attrs):
+    """The renamed subnet of the method an ISP invokes, its entry and exits,
+    and the host attributes `attrs` extended by the service's own.  The
+    empty service performs no operation: its one place is both entry and
+    exit."""
+    if algebra.is_empty_service(svc):
+        sub = svc.net.internal.renamed(rn)
+        return sub, sub.places[0].id, (sub.places[0].id,), attrs
+    method, sub = restrict_to_method(
+        svc, algebra.invoked_method(svc, method_name).name)
+
+    # avoid attribute-name capture between host and spliced subnet
+    host_attrs = {a.name for a in attrs}
+    var_map = {a.name: rn(a.name) for a in svc.net.gsp.attributes
+               if a.name in host_attrs}
+    sub = _rename_variables(sub, var_map).renamed(rn)
+    new_attrs = tuple(replace(a, name=var_map.get(a.name, a.name))
+                      for a in svc.net.gsp.attributes)
+    attrs += tuple(a for a in new_attrs if a.name not in host_attrs)
+
+    # the invoked method's goals become plain places of the host
+    goals = {rn(g) for g in method.goal_places}
+    sub = replace(
+        sub,
+        places=tuple(replace(p, kind=PlaceKind.NORMAL)
+                     if p.id in goals else p for p in sub.places),
+        labels=tuple(sorted(
+            {**sub.label_map, **dict.fromkeys(goals, TAU)}.items())))
+    return (sub, rn(method.init_place), sorted(goals, key=natural_key),
+            attrs)
+
+
 def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
                 ) -> InlineResult:
     """Repeatedly replace ISP places by renamed copies of the invoked
@@ -112,30 +144,10 @@ def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
         for isp in isps:
             counter += 1
             rn = apart(f"i{counter}")
-            svc = reg.lookup(isp.invoked_gnet)
-            method, sub = restrict_to_method(
-                svc, algebra.invoked_method(svc, isp.using_method).name)
-
-            # avoid attribute-name capture between host and spliced subnet
-            host_attrs = {a.name for a in attrs}
-            var_map = {a.name: rn(a.name) for a in svc.net.gsp.attributes
-                       if a.name in host_attrs}
-            sub = _rename_variables(sub, var_map).renamed(rn)
-            new_attrs = tuple(replace(a, name=var_map.get(a.name, a.name))
-                              for a in svc.net.gsp.attributes)
-            attrs += tuple(a for a in new_attrs if a.name not in host_attrs)
-
-            # the invoked method's goals become plain places of the host
-            goals = {rn(g) for g in method.goal_places}
-            sub = replace(
-                sub,
-                places=tuple(replace(p, kind=PlaceKind.NORMAL)
-                             if p.id in goals else p for p in sub.places),
-                labels=tuple(sorted(
-                    {**sub.label_map, **dict.fromkeys(goals, TAU)}.items())))
-            inits[isp.id] = rn(method.init_place)
-            groups.append(({isp.id}, sub, (inits[isp.id],),
-                           sorted(goals, key=natural_key)))
+            sub, entry, exits, attrs = _invoked_subnet(
+                reg.lookup(isp.invoked_gnet), isp.using_method, rn, attrs)
+            inits[isp.id] = entry
+            groups.append(({isp.id}, sub, (entry,), exits))
 
             spliced = {p.id for p in sub.places}
             for members in regions.values():
@@ -478,7 +490,7 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
 @dataclass
 class AnalysisReport:
     state_count: int
-    deadlocks: list
+    deadlocks: list  # markings (place -> tokens) of the deadlocked states
     bound_k: int
     goal_reachable: bool
     witness: list  # edge labels along a shortest path to a goal state
@@ -495,17 +507,8 @@ class AnalysisReport:
         if self.goal_reachable:
             lines.append("witness: " + " ".join(self.witness))
         for d in self.deadlocks:
-            lines.append("deadlock: " + _marking_text(d))
+            lines.append(f"deadlock: {canonical_marking(d)!r}")
         return "\n".join(lines)
-
-
-def _marking_text(key):
-    if isinstance(key, tuple) and len(key) == 2 and all(
-            isinstance(part, tuple) for part in key):
-        marking = key[0]
-    else:
-        marking = key
-    return repr(marking)
 
 
 def _tokens_in(marking: dict, places: set) -> bool:
@@ -519,7 +522,7 @@ def analyze(graph: StateGraph, goal_places: set) -> AnalysisReport:
         for toks in marking.values():
             bound_k = max(bound_k, len(toks))
         if not graph.out[key] and not _tokens_in(marking, goal_places):
-            deadlocks.append(key)
+            deadlocks.append(marking)
 
     # shortest witness to any goal state
     witness = None

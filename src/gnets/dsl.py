@@ -11,10 +11,11 @@ Identifiers name registry entries and may contain hyphens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import algebra
 from .errors import ParseError
+from .guards import TokenCursor
 from .model import Registry, WebService
 
 # --- AST -------------------------------------------------------------------
@@ -84,8 +85,22 @@ class Replace:
     new: object
 
 
-KEYWORDS = {"empty", "seq", "alt", "iter", "anyseq", "par", "disc",
-            "select", "refine", "replace"}
+# keyword -> (AST class, algebra constructor, operand field names) for the
+# operators whose operands are all terms; the parser, the printer and the
+# evaluator all read it.  disc, select, refine and empty have their own
+# syntax and their own branches.
+_OPERATORS = {
+    keyword: (node, build, tuple(f.name for f in fields(node)))
+    for keyword, node, build in (
+        ("seq", Seq, algebra.sequence),
+        ("alt", Alt, algebra.alternative),
+        ("iter", Iter, algebra.iteration),
+        ("anyseq", AnySeq, algebra.arbitrary_sequence),
+        ("par", Par, algebra.parallel),
+        ("replace", Replace, algebra.replace_service))}
+# the same rows indexed by AST class: node -> (keyword, constructor, fields)
+_BY_NODE = {node: (keyword, build, names)
+            for keyword, (node, build, names) in _OPERATORS.items()}
 
 
 # --- Lexer -----------------------------------------------------------------
@@ -131,29 +146,7 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def here(self):
-        return self.tokens[self.pos][1]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok[0]
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok != kind:
-            shown = "end of input" if tok == "EOF" else repr(tok)
-            raise ParseError(self.here(), f"expected {kind!r}, found {shown}")
-        return self.next()
-
+class _Parser(TokenCursor):
     def parse(self):
         e = self.parse_chain()
         self.expect("EOF")
@@ -166,12 +159,16 @@ class _Parser:
             left = Seq(left, self.parse_primary())
         return left
 
-    def _args(self, minimum, maximum=None):
-        self.expect("(")
-        args = [self.parse_chain()]
+    def _terms(self):
+        terms = [self.parse_chain()]
         while self.peek() == ",":
             self.next()
-            args.append(self.parse_chain())
+            terms.append(self.parse_chain())
+        return terms
+
+    def _args(self, minimum, maximum=None):
+        self.expect("(")
+        args = self._terms()
         self.expect(")")
         if len(args) < minimum or (maximum is not None and len(args) > maximum):
             raise ParseError(self.here(), "wrong number of operands")
@@ -185,33 +182,18 @@ class _Parser:
             self.expect(")")
             return e
         if not (isinstance(tok, tuple) and tok[0] == "IDENT"):
-            shown = "end of input" if tok == "EOF" else repr(tok)
-            raise ParseError(self.here(), f"expected a term, found {shown}")
-        pos = self.here()
+            raise ParseError(self.here(),
+                             f"expected a term, found {self._show(tok)}")
         name = self.next()[1]
+        op = _OPERATORS.get(name)
+        if op is not None:
+            node, _, names = op
+            return node(*self._args(len(names), len(names)))
         if name == "empty":
             return Empty()
-        if name == "seq":
-            a, b = self._args(2, 2)
-            return Seq(a, b)
-        if name == "alt":
-            a, b = self._args(2, 2)
-            return Alt(a, b)
-        if name == "iter":
-            (a,) = self._args(1, 1)
-            return Iter(a)
-        if name == "anyseq":
-            a, b = self._args(2, 2)
-            return AnySeq(a, b)
-        if name == "par":
-            a, b = self._args(2, 2)
-            return Par(a, b)
         if name == "disc":
             self.expect("(")
-            racers = [self.parse_chain()]
-            while self.peek() == ",":
-                self.next()
-                racers.append(self.parse_chain())
+            racers = self._terms()
             self.expect(";")
             cont = self.parse_chain()
             self.expect(")")
@@ -234,33 +216,23 @@ class _Parser:
             block_name = self.next()[1]
             self.expect(")")
             return Refine(base, op_name, block_name)
-        if name == "replace":
-            a, b, c = self._args(3, 3)
-            return Replace(a, b, c)
-        if name in KEYWORDS:
-            raise ParseError(pos, f"misplaced keyword {name!r}")
         return Ref(name)
 
 
 def parse_expr(text: str):
-    return _Parser(text).parse()
+    return _Parser(_tokenize(text)).parse()
 
 
 def print_expr(e) -> str:
+    op = _BY_NODE.get(type(e))
+    if op is not None:
+        keyword, _, names = op
+        operands = ", ".join(print_expr(getattr(e, n)) for n in names)
+        return f"{keyword}({operands})"
     if isinstance(e, Empty):
         return "empty"
     if isinstance(e, Ref):
         return e.name
-    if isinstance(e, Seq):
-        return f"seq({print_expr(e.first)}, {print_expr(e.second)})"
-    if isinstance(e, Alt):
-        return f"alt({print_expr(e.first)}, {print_expr(e.second)})"
-    if isinstance(e, Iter):
-        return f"iter({print_expr(e.body)})"
-    if isinstance(e, AnySeq):
-        return f"anyseq({print_expr(e.first)}, {print_expr(e.second)})"
-    if isinstance(e, Par):
-        return f"par({print_expr(e.first)}, {print_expr(e.second)})"
     if isinstance(e, Disc):
         racers = ", ".join(print_expr(r) for r in e.racers)
         return f"disc({racers}; {print_expr(e.continuation)})"
@@ -268,9 +240,6 @@ def print_expr(e) -> str:
         return "select(%s)" % ", ".join(print_expr(c) for c in e.candidates)
     if isinstance(e, Refine):
         return f'refine({print_expr(e.base)}, "{e.op_name}", {e.block})'
-    if isinstance(e, Replace):
-        return (f"replace({print_expr(e.base)}, {print_expr(e.old)}, "
-                f"{print_expr(e.new)})")
     raise TypeError(f"not a composition term: {e!r}")
 
 
@@ -278,40 +247,26 @@ def eval_expr(e, reg: Registry) -> WebService:
     """Evaluate a composition term against a registry.  Intermediate
     composite services are inserted so ISP references resolve by name."""
 
-    def register(ws):
+    def ev(node):
+        op = _BY_NODE.get(type(node))
+        if op is not None:
+            _, build, names = op
+            ws = build(*(ev(getattr(node, n)) for n in names))
+        elif isinstance(node, Ref):
+            return reg.lookup(node.name)
+        elif isinstance(node, Empty):
+            ws = algebra.empty_service()
+        elif isinstance(node, Disc):
+            ws = algebra.discriminator([ev(r) for r in node.racers],
+                                       ev(node.continuation))
+        elif isinstance(node, Select):
+            ws = algebra.selection([ev(c) for c in node.candidates])
+        elif isinstance(node, Refine):
+            block = reg.lookup_block(node.block)
+            ws = algebra.refine(ev(node.base), node.op_name, block)
+        else:
+            raise TypeError(f"not a composition term: {node!r}")
         reg.insert(ws)
         return ws
-
-    def ev(node):
-        if isinstance(node, Empty):
-            return register(algebra.empty_service())
-        if isinstance(node, Ref):
-            return reg.lookup(node.name)
-        if isinstance(node, Seq):
-            return register(algebra.sequence(ev(node.first), ev(node.second)))
-        if isinstance(node, Alt):
-            return register(algebra.alternative(ev(node.first),
-                                                ev(node.second)))
-        if isinstance(node, Iter):
-            return register(algebra.iteration(ev(node.body)))
-        if isinstance(node, AnySeq):
-            return register(algebra.arbitrary_sequence(ev(node.first),
-                                                       ev(node.second)))
-        if isinstance(node, Par):
-            return register(algebra.parallel(ev(node.first), ev(node.second)))
-        if isinstance(node, Disc):
-            racers = [ev(r) for r in node.racers]
-            return register(algebra.discriminator(racers,
-                                                  ev(node.continuation)))
-        if isinstance(node, Select):
-            return register(algebra.selection([ev(c)
-                                               for c in node.candidates]))
-        if isinstance(node, Refine):
-            block = reg.lookup_block(node.block)
-            return register(algebra.refine(ev(node.base), node.op_name, block))
-        if isinstance(node, Replace):
-            return register(algebra.replace_service(
-                ev(node.base), ev(node.old), ev(node.new)))
-        raise TypeError(f"not a composition term: {node!r}")
 
     return ev(e)

@@ -133,10 +133,13 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
+class TokenCursor:
+    """A read position in a list of (token, offset) pairs ending in EOF.
+    The guard parser below and the composition parser in `dsl` walk their
+    tokens with it."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
         self.pos = 0
 
     def peek(self):
@@ -164,6 +167,8 @@ class _Parser:
             return repr(tok[1])
         return repr(tok)
 
+
+class _Parser(TokenCursor):
     # expressions: term (+|- term)* ; term: factor (* factor)* ; factor: atom
     def parse_expr(self):
         left = self.parse_term()
@@ -254,7 +259,7 @@ class _Parser:
 def parse_condition(text: str) -> Condition:
     if text.strip() == "":
         return TRUE
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     cond = p.parse_condition()
     p.expect("EOF")
     return cond
@@ -263,7 +268,7 @@ def parse_condition(text: str) -> Condition:
 def parse_action(text: str) -> ActionSeq:
     if text.strip() == "":
         return ()
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     assigns = []
     while True:
         tok = p.peek()
@@ -285,7 +290,7 @@ def parse_action(text: str) -> ActionSeq:
 def parse_inscription(text: str) -> Inscription:
     if text.strip() == "":
         return ()
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     exprs = [p.parse_expr()]
     while p.peek() == ",":
         p.next()
@@ -295,7 +300,7 @@ def parse_inscription(text: str) -> Inscription:
 
 
 def parse_expr(text: str) -> Expr:
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     e = p.parse_expr()
     p.expect("EOF")
     return e

@@ -184,9 +184,7 @@ def _bindings(state: SimState, tid: str):
 
 def enabled(state: SimState):
     """The (transition, binding) pairs fireable in the current marking."""
-    results = [(tid, binding)
-               for tid in sorted(state.ws.net.internal.transitions,
-                                 key=natural_key)
+    results = [(tid, binding) for tid in state.ws.net.internal.transitions
                for binding, _ in _bindings(state, tid)]
     results.sort(key=lambda r: (natural_key(r[0]), sorted(r[1].items(),
                                                           key=repr)))
@@ -290,6 +288,11 @@ def invoke_isp(state: SimState, pid: str) -> SimState:
         from .errors import UnknownService
         raise UnknownService(place.invoked_gnet)
     svc = state.registry.lookup(place.invoked_gnet)
+    if algebra.is_empty_service(svc):
+        # the empty service performs no operation: the call returns at once
+        marking[pid].remove(token)
+        marking[pid].append(replace(token, returned=True))
+        return replace(state, marking=_freeze_marking(marking))
     method = algebra.invoked_method(svc, place.using_method)
 
     fields = token.field_map()
@@ -329,23 +332,21 @@ def _at_goal(state: SimState) -> bool:
                for g in method.goal_places)
 
 
-def run(state: SimState, policy: str = None, max_steps: int = None,
-        seed: int = None):
-    """Fire until a goal marking, a deadlock or the step limit.  Returns the
-    final state and one of GOAL / DEADLOCK / STEP_LIMIT."""
-    policy = policy if policy is not None else state.config.policy
-    max_steps = max_steps if max_steps is not None else state.config.max_steps
-    seed = seed if seed is not None else state.config.seed
-    if max_steps <= 0:
+def run(state: SimState):
+    """Fire until a goal marking, a deadlock or the step limit, as set by
+    `state.config` (which every nested ISP call shares).  Returns the final
+    state and one of GOAL / DEADLOCK / STEP_LIMIT."""
+    config = state.config
+    if config.max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    for step in range(max_steps):
+    for step in range(config.max_steps):
         if _at_goal(state):
             return state, GOAL
         choices = enabled(state)
         if not choices:
             return state, DEADLOCK
-        if policy == "random":
-            rng = random.Random(f"{seed}:{step}:{len(state.trace)}")
+        if config.policy == "random":
+            rng = random.Random(f"{config.seed}:{step}:{len(state.trace)}")
             tid, binding = rng.choice(choices)
         else:
             tid, binding = choices[0]

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import reach_oracle
+import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
                       gated_false_service, treat_command_block,
                       treat_command_service)
@@ -81,6 +84,33 @@ class TestInlining:
         result = analysis.inline_isps(ws, reg)
         method = result.service.net.gsp.method("Alt")
         assert method.goal_places == frozenset({"p4"})
+
+    def test_isp_to_empty_service_completes_at_once(self):
+        reg = make_registry()
+        ws = compose("seq(a, empty)", reg)
+        result = analysis.inline_isps(ws, reg)
+        # the empty service's one place replaces the ISP, entry and exit
+        assert len(result.regions["p2"]) == 1
+        assert validate(result.service).ok
+        method = result.service.net.gsp.method("Seq")
+        graph = analysis.reachability(analysis.flatten(result.service))
+        report = analysis.analyze(graph, analysis.flat_goal_places(method))
+        assert report.goal_reachable and not report.deadlocks
+
+    def test_empty_initial_place_remapped(self):
+        reg = make_registry()
+        result = analysis.inline_isps(compose("seq(empty, a)", reg), reg)
+        (entry,) = result.regions["p1"]
+        assert result.service.net.gsp.method("Seq").init_place == entry
+
+    def test_random_terms_all_inline(self):
+        rng = random.Random(20240817)
+        reg = test_acceptance.make_registry()
+        for _ in range(1000):
+            term = test_acceptance.random_term(rng, 5)
+            result = analysis.inline_isps(dsl.eval_expr(term, reg), reg)
+            assert all(p.kind is not PlaceKind.ISP
+                       for p in result.service.net.internal.places)
 
 
 class TestFlatten:
@@ -270,3 +300,19 @@ class TestAnalyzeReport:
         text = report.to_text()
         assert text.splitlines()[0] == "stateCount: 2"
         assert "goalReachable: False" in text
+        assert text.splitlines()[-1] == "deadlock: (('p1l', ((),)),)"
+
+    def test_deadlock_line_shows_every_marked_place(self):
+        # a flat key of two marked places has the shape of an explored
+        # (marking, env) key; both places must still print
+        flat = analysis.FlatNet(places={}, transitions=[],
+                                initial={"af": [()], "bf": [()]}, domains={})
+        report = analysis.analyze(analysis.reachability(flat), set())
+        assert report.to_text().splitlines()[-1] == (
+            "deadlock: (('af', ((),)), ('bf', ((),)))")
+
+    def test_deadlock_line_of_explored_service(self):
+        graph = analysis.explore_service(gated_false_service(), "Never")
+        report = analysis.analyze(graph, set())
+        assert report.to_text().splitlines()[-1] == (
+            "deadlock: (('p1', (Token(fields=(), returned=True),)),)")

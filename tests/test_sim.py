@@ -117,13 +117,31 @@ class TestRuns:
         ws = compose("alt(a, b)", reg)
 
         def trace_of(seed):
-            state = sim.init_state(ws, "Alt", (), registry=reg)
-            final, outcome = sim.run(state, policy="random", seed=seed)
+            state = sim.init_state(
+                ws, "Alt", (), registry=reg,
+                config=sim.SimConfig(policy="random", seed=seed))
+            final, outcome = sim.run(state)
             assert outcome == sim.GOAL
             return [e.transition for e in final.trace]
 
         assert trace_of(3) == trace_of(3)
         assert any(trace_of(s) != trace_of(0) for s in range(1, 20))
+
+    def test_random_policy_reaches_nested_calls(self):
+        reg = make_registry()
+        ws = compose("seq(alt(a, b), c)", reg)
+        chosen = set()
+        for seed in range(20):
+            state = sim.init_state(
+                ws, "Seq", (), registry=reg,
+                config=sim.SimConfig(policy="random", seed=seed))
+            final, outcome = sim.run(state)
+            assert outcome == sim.GOAL
+            # the nested alt call picks its branch with t1 or t2
+            chosen |= {e.transition for e in final.trace if e.depth == 1
+                       and e.transition in ("t1", "t2")
+                       and e.consumed[0][0] == "p1"}
+        assert chosen == {"t1", "t2"}
 
     def test_trace_replay(self):
         state = sim.init_state(book_order_service(), "Command", (1,))
@@ -184,6 +202,15 @@ class TestIspInvocation:
         state = sim.init_state(ws, "Disc", (), registry=reg)
         final, outcome = sim.run(state)
         assert outcome == sim.GOAL
+
+    def test_empty_operand_returns_at_once(self):
+        reg = make_registry()
+        ws = compose("seq(a, empty)", reg)
+        state = sim.init_state(ws, "Seq", (), registry=reg)
+        final, outcome = sim.run(state)
+        assert outcome == sim.GOAL
+        assert [(e.depth, e.transition) for e in final.trace] == [
+            (1, "t1"), (0, "t1"), (0, "t2")]
 
     def test_format_trace_shape(self):
         reg = make_registry()
