@@ -10,14 +10,16 @@ flat net needs no separate attribute environment.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import product
+from operator import itemgetter
 
 from . import algebra, guards
 from .errors import (DepthLimitExceeded, UnboundFreeVariable,
                      UnflattenableIsp, UnknownMethod)
 from .model import (TAU, GNetModel, InternalStructure, PlaceKind, Registry,
-                    WebService, apart, natural_key)
+                    WebService, apart, freeze_marking, natural_key)
 
 # --- ISP inlining ----------------------------------------------------------
 
@@ -327,84 +329,93 @@ def flat_goal_places(method) -> set:
 # --- Reachability ----------------------------------------------------------
 
 
-def canonical_marking(marking: dict) -> tuple:
-    out = []
-    for pname in sorted(marking, key=natural_key):
-        toks = tuple(sorted(marking[pname], key=repr))
-        if toks:
-            out.append((pname, toks))
-    return tuple(out)
+def canonical_marking(marking: frozenset) -> tuple:
+    """The print form of a frozen marking: its places in natural order,
+    a tie such as p01 and p1 broken by the name, not by the hash seed."""
+    return tuple(sorted(marking,
+                        key=lambda pair: (natural_key(pair[0]), pair[0])))
 
 
 @dataclass
 class StateGraph:
-    nodes: dict = field(default_factory=dict)  # key -> marking dict
+    """A state graph in breadth-first discovery order.  A state is a frozen
+    marking (`reachability`) or a (frozen marking, env) pair
+    (`explore_service`); `marking_of` gives a state's frozen marking."""
     edges: list = field(default_factory=list)  # (src, label, binding, dst)
-    out: dict = field(default_factory=dict)  # key -> [edge index]
-    initial: tuple = None
+    out: dict = field(default_factory=dict)  # state -> [edge index]
+    initial: object = None
     truncated: bool = False
+    marking_of: Callable = lambda state: state
 
-    def add_node(self, key, marking):
-        if key not in self.nodes:
-            self.nodes[key] = marking
-            self.out[key] = []
-            return True
-        return False
+    @property
+    def nodes(self):
+        """Each state's place -> tokens dict, made anew on every read."""
+        return {state: dict(self.marking_of(state)) for state in self.out}
+
+    def add_node(self, state):
+        self.out.setdefault(state, [])
 
     def add_edge(self, src, label, binding, dst):
         self.edges.append((src, label, binding, dst))
         self.out[src].append(len(self.edges) - 1)
 
 
-def flat_successors(flat: FlatNet, marking: dict):
-    """All (transition name, binding, successor marking) triples."""
+def _bind(inputs, toks):
+    """The binding of each input's pattern to its token, or None."""
+    binding = {}
+    for (_, pattern), tok in zip(inputs, toks):
+        if len(pattern) != len(tok):
+            return None
+        for var, value in zip(pattern, tok):
+            if binding.setdefault(var, value) != value:
+                return None
+    return binding
+
+
+def flat_successors(flat: FlatNet, marking: frozenset):
+    """All (transition name, binding, successor) triples of a frozen
+    marking.  A successor is frozen too: it is built from the parent's
+    token tuples, replacing those of the places the firing touches."""
+    tokens = dict(marking)
     results = []
     for t in flat.transitions:
         pools = []
         for pname, pattern in t.inputs:
-            toks = marking.get(pname, ())
+            toks = tokens.get(pname)
             if not toks:
                 pools = None
                 break
-            pools.append([(pname, tok) for tok in sorted(set(toks), key=repr)])
+            # tokens are sorted by repr: skip repeats of the one before
+            pools.append([(pname, i) for i in range(len(toks)) if i == 0
+                          or repr(toks[i]) != repr(toks[i - 1])])
         if pools is None:
             continue
         for combo in product(*pools):
-            binding = {}
-            ok = True
-            for (pname, tok), (_, pattern) in zip(combo, t.inputs):
-                if len(pattern) != len(tok):
-                    ok = False
-                    break
-                for var, value in zip(pattern, tok):
-                    if var in binding and binding[var] != value:
-                        ok = False
-                        break
-                    binding[var] = value
-                if not ok:
-                    break
-            if not ok:
+            binding = _bind(t.inputs, [tokens[p][i] for p, i in combo])
+            if binding is None:
                 continue
             needed = set(guards.condition_vars(t.gate))
             for _, exprs in t.outputs:
                 for e in exprs:
                     needed |= guards.expr_vars(e)
-            enum_vars = []
-            for name in sorted(needed - set(binding)):
+            free = sorted(needed - set(binding))
+            for name in free:
                 if name not in flat.domains:
                     raise UnboundFreeVariable(name)
-                enum_vars.append((name, flat.domains[name]))
-            for values in product(*(d for _, d in enum_vars)):
-                full = dict(binding)
-                full.update({n: v for (n, _), v in zip(enum_vars, values)})
+            for values in product(*(flat.domains[name] for name in free)):
+                full = {**binding, **dict(zip(free, values))}
                 if not guards.eval_condition(t.gate, full):
                     continue
-                succ = {p: list(toks) for p, toks in marking.items()}
-                for pname, tok in combo:
-                    succ[pname].remove(tok)
+                # place -> its tokens after the firing
+                touched = {p: tokens[p][:i] + tokens[p][i + 1:]
+                           for p, i in combo}
                 for pname, exprs in t.outputs:
-                    succ.setdefault(pname, []).append(
-                        tuple(guards.eval_expr(e, full) for e in exprs))
+                    tok = tuple(guards.eval_expr(e, full) for e in exprs)
+                    toks = touched.get(pname, tokens.get(pname, ()))
+                    touched[pname] = tuple(sorted(toks + (tok,), key=repr))
+                succ = marking.difference(
+                    (p, tokens[p]) for p in touched if p in tokens).union(
+                    (p, toks) for p, toks in touched.items() if toks)
                 results.append((t.name, tuple(sorted(full.items())), succ))
     results.sort(key=lambda r: (natural_key(r[0]), repr(r[1])))
     return results
@@ -413,7 +424,7 @@ def flat_successors(flat: FlatNet, marking: dict):
 def reachability(flat: FlatNet, max_states: int = 100000,
                  max_tokens_per_place: int = None,
                  initial: dict = None) -> StateGraph:
-    """Breadth-first exhaustive exploration with canonical deduplication."""
+    """Breadth-first exhaustive exploration of frozen markings."""
     if max_states <= 0:
         raise ValueError("max_states must be positive")
     if initial is None:
@@ -422,28 +433,23 @@ def reachability(flat: FlatNet, max_states: int = 100000,
             raise UnboundFreeVariable(
                 "initial marking is not unique; pass one explicitly")
         initial = markings[0]
-    graph = StateGraph()
-    key0 = canonical_marking(initial)
-    graph.initial = key0
-    graph.add_node(key0, initial)
-    queue = deque([key0])
+    graph = StateGraph(initial=freeze_marking(initial))
+    graph.add_node(graph.initial)
+    queue = deque([graph.initial])
     while queue:
-        key = queue.popleft()
-        marking = graph.nodes[key]
-        for tname, binding, succ in flat_successors(flat, marking):
+        state = queue.popleft()
+        for tname, binding, succ in flat_successors(flat, state):
             if max_tokens_per_place is not None and any(
-                    len(toks) > max_tokens_per_place
-                    for toks in succ.values()):
+                    len(toks) > max_tokens_per_place for _, toks in succ):
                 graph.truncated = True
                 continue
-            skey = canonical_marking(succ)
-            if skey not in graph.nodes:
-                if len(graph.nodes) >= max_states:
+            if succ not in graph.out:
+                if len(graph.out) >= max_states:
                     graph.truncated = True
                     continue
-                graph.add_node(skey, succ)
-                queue.append(skey)
-            graph.add_edge(key, tname, binding, skey)
+                graph.add_node(succ)
+                queue.append(succ)
+            graph.add_edge(state, tname, binding, succ)
     return graph
 
 
@@ -459,26 +465,20 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
     method_name = method_name or algebra.main_method(ws).name
     state0 = sim.init_state(ws, method_name, args)
 
-    def key_of(state):
-        return (state.marking, state.env)
-
-    def marking_of(state):
-        return {pid: list(toks) for pid, toks in state.marking}
-
-    graph = StateGraph()
-    graph.initial = key_of(state0)
-    graph.add_node(graph.initial, marking_of(state0))
+    graph = StateGraph(initial=(state0.marking, state0.env),
+                       marking_of=itemgetter(0))
+    graph.add_node(graph.initial)
     queue = deque([(graph.initial, state0)])
     while queue:
         key, state = queue.popleft()
         for tid, binding in sim.enabled(state):
             succ = sim.fire(state, tid, binding)
-            skey = key_of(succ)
-            if skey not in graph.nodes:
-                if len(graph.nodes) >= max_states:
+            skey = (succ.marking, succ.env)
+            if skey not in graph.out:
+                if len(graph.out) >= max_states:
                     graph.truncated = True
                     continue
-                graph.add_node(skey, marking_of(succ))
+                graph.add_node(skey)
                 queue.append((skey, succ))
             graph.add_edge(key, tid, tuple(sorted(binding.items())), skey)
     return graph
@@ -490,7 +490,7 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
 @dataclass
 class AnalysisReport:
     state_count: int
-    deadlocks: list  # markings (place -> tokens) of the deadlocked states
+    deadlocks: list  # frozen markings of the deadlocked states
     bound_k: int
     goal_reachable: bool
     witness: list  # edge labels along a shortest path to a goal state
@@ -511,42 +511,40 @@ class AnalysisReport:
         return "\n".join(lines)
 
 
-def _tokens_in(marking: dict, places: set) -> bool:
-    return any(marking.get(p) for p in places)
-
-
 def analyze(graph: StateGraph, goal_places: set) -> AnalysisReport:
+    """Deadlocks, token bound and a shortest witness.  The states are in
+    breadth-first discovery order, so the first goal state is a nearest
+    one, and the first edge into each state leads back to the initial
+    state."""
     deadlocks = []
     bound_k = 0
-    for key, marking in graph.nodes.items():
-        for toks in marking.values():
-            bound_k = max(bound_k, len(toks))
-        if not graph.out[key] and not _tokens_in(marking, goal_places):
+    goal = None
+    for state, out in graph.out.items():
+        marking = graph.marking_of(state)
+        bound_k = max([bound_k, *(len(toks) for _, toks in marking)])
+        at_goal = any(p in goal_places for p, _ in marking)
+        if at_goal and goal is None:
+            goal = state
+        if not out and not at_goal:
             deadlocks.append(marking)
 
-    # shortest witness to any goal state
-    witness = None
-    dist = {graph.initial: (0, [])}
-    queue = deque([graph.initial])
-    if _tokens_in(graph.nodes[graph.initial], goal_places):
-        witness = []
-    while queue and witness is None:
-        key = queue.popleft()
-        d, path = dist[key]
-        for idx in graph.out[key]:
-            _, label, _, dst = graph.edges[idx]
-            if dst not in dist:
-                dist[dst] = (d + 1, path + [label])
-                if _tokens_in(graph.nodes[dst], goal_places):
-                    witness = path + [label]
-                    break
-                queue.append(dst)
+    witness = []
+    if goal is not None:
+        first_in = {}  # state -> (source, label) of its first incoming edge
+        for src, label, _, dst in graph.edges:
+            first_in.setdefault(dst, (src, label))
+            if dst == goal:
+                break
+        while goal != graph.initial:
+            goal, label = first_in[goal]
+            witness.append(label)
+        witness.reverse()
     return AnalysisReport(
-        state_count=len(graph.nodes),
+        state_count=len(graph.out),
         deadlocks=deadlocks,
         bound_k=bound_k,
-        goal_reachable=witness is not None,
-        witness=witness or [],
+        goal_reachable=goal is not None,
+        witness=witness,
         truncated=graph.truncated,
     )
 
@@ -561,13 +559,13 @@ def flat_run_language(flat: FlatNet, initial: dict, max_len: int = 40,
     # the first transition of a name, as a scan would find it
     origins = {t.name: t.origin for t in reversed(flat.transitions)}
     out = set()
-    stack = [(canonical_marking(initial), initial, ())]
+    stack = [(freeze_marking(initial), ())]
     seen_prefix = set()
     while stack:
-        key, marking, word = stack.pop()
-        if (key, word) in seen_prefix:
+        marking, word = stack.pop()
+        if (marking, word) in seen_prefix:
             continue
-        seen_prefix.add((key, word))
+        seen_prefix.add((marking, word))
         succs = flat_successors(flat, marking)
         if not succs:
             out.add(word)
@@ -578,7 +576,7 @@ def flat_run_language(flat: FlatNet, initial: dict, max_len: int = 40,
         for tname, _, succ in succs:
             origin = origins[tname]
             new_word = word + (origin,) if origin else word
-            stack.append((canonical_marking(succ), succ, new_word))
+            stack.append((succ, new_word))
         if len(out) > max_runs:
             raise RuntimeError("run language too large")
     return out

@@ -343,24 +343,16 @@ def print_condition(c: Condition, _parent_prec=0) -> str:
     if isinstance(c, Compare):
         return f"{print_expr(c.left)} {c.op} {print_expr(c.right)}"
     if isinstance(c, Not):
-        return "!" + _wrap(print_condition(c.operand, 3), c.operand, 3)
+        return "!" + print_condition(c.operand, 3)
     if isinstance(c, And):
-        text = f"{_pc(c.left, 2)} && {_pc(c.right, 3)}"
+        text = (f"{print_condition(c.left, 2)} && "
+                f"{print_condition(c.right, 3)}")
         return f"({text})" if _parent_prec > 2 else text
     if isinstance(c, Or):
-        text = f"{_pc(c.left, 1)} || {_pc(c.right, 2)}"
+        text = (f"{print_condition(c.left, 1)} || "
+                f"{print_condition(c.right, 2)}")
         return f"({text})" if _parent_prec > 1 else text
     raise TypeError(f"not a condition: {c!r}")
-
-
-def _pc(c, prec):
-    return print_condition(c, prec)
-
-
-def _wrap(text, node, prec):
-    if isinstance(node, (And, Or)):
-        return f"({text})"
-    return text
 
 
 def print_action(a: ActionSeq) -> str:

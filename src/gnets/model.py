@@ -280,6 +280,14 @@ class Token:
         return dict(self.fields)
 
 
+def freeze_marking(marking: dict, token_key=repr) -> frozenset:
+    """A marking's identity: the frozenset of (place, tokens sorted by
+    `token_key`) pairs of its marked places, whatever the order of places
+    and tokens."""
+    return frozenset((p, tuple(sorted(toks, key=token_key)))
+                     for p, toks in marking.items() if toks)
+
+
 @dataclass(frozen=True)
 class Violation:
     element: str
@@ -413,6 +421,8 @@ def validate(ws: WebService) -> ValidationReport:
         if a.initial is not None and not check(a.initial):
             report.add(a.name, "attr-initial-type",
                        f"initial {a.initial!r} is not of type {a.value_type}")
+        if a.domain is not None and not a.domain:
+            report.add(a.name, "empty-domain", "the domain has no values")
         for v in a.domain or ():
             if not check(v):
                 report.add(a.name, "attr-domain-type",

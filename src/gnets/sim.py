@@ -15,7 +15,8 @@ from itertools import product
 from . import algebra, guards
 from .errors import (ArityMismatch, DepthLimitExceeded, NotEnabled,
                      SubnetDeadlock, UnboundFreeVariable, UnknownMethod)
-from .model import PlaceKind, Registry, Token, WebService, natural_key
+from .model import (PlaceKind, Registry, Token, WebService, freeze_marking,
+                    natural_key)
 
 GOAL, DEADLOCK, STEP_LIMIT = "Goal", "Deadlock", "StepLimit"
 
@@ -41,7 +42,7 @@ class FiringEvent:
 class SimState:
     ws: WebService
     method_name: str
-    marking: tuple  # tuple[(pid, tuple[Token, ...]), ...]
+    marking: frozenset  # freeze_marking of pid -> [Token]
     env: tuple  # tuple[(name, value), ...]
     trace: tuple = ()
     depth: int = 0
@@ -55,13 +56,9 @@ class SimState:
         return dict(self.env)
 
 
-def _freeze_marking(marking: dict) -> tuple:
-    out = []
-    for pid in sorted(marking, key=natural_key):
-        toks = tuple(sorted(marking[pid], key=lambda t: repr(t.fields)))
-        if toks:
-            out.append((pid, toks))
-    return tuple(out)
+def _fields_repr(token: Token) -> str:
+    """The sort key of the tokens of one place in a frozen marking."""
+    return repr(token.fields)
 
 
 def _freeze_env(env: dict) -> tuple:
@@ -85,7 +82,8 @@ def init_state(ws: WebService, method_name: str, args=(), registry=None,
     env = {a.name: a.initial for a in ws.net.gsp.attributes
            if a.initial is not None}
     state = SimState(ws=ws, method_name=method_name,
-                     marking=_freeze_marking({method.init_place: [token]}),
+                     marking=freeze_marking({method.init_place: [token]},
+                                            _fields_repr),
                      env=_freeze_env(env), depth=depth, registry=registry,
                      config=config)
     return _settle(state)
@@ -249,7 +247,7 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
 
     event = FiringEvent(state.depth, tid, tuple(sorted(binding.items())),
                         tuple(consumed_log), tuple(produced_log))
-    new_state = replace(state, marking=_freeze_marking(marking),
+    new_state = replace(state, marking=freeze_marking(marking, _fields_repr),
                         env=_freeze_env(new_env),
                         trace=state.trace + (event,))
     return _settle(new_state)
@@ -292,7 +290,7 @@ def invoke_isp(state: SimState, pid: str) -> SimState:
         # the empty service performs no operation: the call returns at once
         marking[pid].remove(token)
         marking[pid].append(replace(token, returned=True))
-        return replace(state, marking=_freeze_marking(marking))
+        return replace(state, marking=freeze_marking(marking, _fields_repr))
     method = algebra.invoked_method(svc, place.using_method)
 
     fields = token.field_map()
@@ -319,7 +317,7 @@ def invoke_isp(state: SimState, pid: str) -> SimState:
             result_fields.update(tok.field_map())
     marking[pid].remove(token)
     marking[pid].append(Token.make(result_fields, returned=True))
-    return replace(state, marking=_freeze_marking(marking),
+    return replace(state, marking=freeze_marking(marking, _fields_repr),
                    trace=state.trace + sub.trace)
 
 

@@ -1,4 +1,6 @@
+import functools
 import random
+from collections import deque
 
 import pytest
 
@@ -7,10 +9,10 @@ import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
                       gated_false_service, treat_command_block,
                       treat_command_service)
-from gnets import algebra, analysis, dsl, sim
+from gnets import algebra, analysis, dsl, guards, sim
 from gnets.errors import (DepthLimitExceeded, UnboundFreeVariable,
                           UnflattenableIsp)
-from gnets.model import PlaceKind, Registry, validate
+from gnets.model import PlaceKind, Registry, freeze_marking, validate
 
 
 def make_registry():
@@ -186,6 +188,19 @@ class TestReachability:
         assert not report.goal_reachable
         assert len(report.deadlocks) == 1
 
+    def test_int_and_bool_tokens_fire_apart(self):
+        flat = analysis.FlatNet(
+            places={}, transitions=[analysis.FlatTransition(
+                "t", (("a", ("x",)),), (("b", (guards.Var("x"),)),))],
+            initial={"a": [(True,), (1,)]}, domains={})
+        succs = analysis.flat_successors(flat, freeze_marking(flat.initial))
+        assert [repr(binding) for _, binding, _ in succs] == [
+            "(('x', 1),)", "(('x', True),)"]
+        assert [repr(analysis.canonical_marking(succ))
+                for _, _, succ in succs] == [
+            "(('a', ((True,),)), ('b', ((1,),)))",
+            "(('a', ((1,),)), ('b', ((True,),)))"]
+
     def test_deterministic(self):
         flat = analysis.flatten(book_order_service(), "Command",
                                 args={"seq": 1})
@@ -311,8 +326,91 @@ class TestAnalyzeReport:
         assert report.to_text().splitlines()[-1] == (
             "deadlock: (('af', ((),)), ('bf', ((),)))")
 
+    def test_canonical_marking_breaks_natural_ties_by_name(self):
+        frozen = freeze_marking({"p1": [()], "p10": [()], "p01": [()]})
+        assert [p for p, _ in analysis.canonical_marking(frozen)] == [
+            "p01", "p1", "p10"]
+
     def test_deadlock_line_of_explored_service(self):
         graph = analysis.explore_service(gated_false_service(), "Never")
         report = analysis.analyze(graph, set())
         assert report.to_text().splitlines()[-1] == (
             "deadlock: (('p1', (Token(fields=(), returned=True),)),)")
+
+
+def assert_shortest_witness(graph, goal_places):
+    """`analyze`'s witness replays along the graph's edges from its initial
+    state to a goal state, and is as long as the BFS distance to the
+    nearest one, computed here from the edges alone."""
+    report = analysis.analyze(graph, goal_places)
+    dist = {graph.initial: 0}
+    queue = deque([graph.initial])
+    while queue:
+        state = queue.popleft()
+        for idx in graph.out[state]:
+            dst = graph.edges[idx][3]
+            if dst not in dist:
+                dist[dst] = dist[state] + 1
+                queue.append(dst)
+    assert len(dist) == len(graph.nodes)
+    goals = {state for state, marking in graph.nodes.items()
+             if any(marking.get(p) for p in goal_places)}
+    assert report.goal_reachable == bool(goals)
+    if not goals:
+        assert report.witness == []
+        return
+    assert len(report.witness) == min(dist[state] for state in goals)
+    states = {graph.initial}
+    for label in report.witness:
+        states = {graph.edges[idx][3] for state in states
+                  for idx in graph.out[state] if graph.edges[idx][1] == label}
+    assert states & goals
+
+
+@functools.cache
+def sweep_services():
+    """The inlined criterion-2 random terms whose main method exists and
+    takes no arguments, with that method."""
+    rng = random.Random(20240817)
+    reg = test_acceptance.make_registry()
+    out = []
+    for _ in range(1000):
+        term = test_acceptance.random_term(rng, 5)
+        service = analysis.inline_isps(dsl.eval_expr(term, reg), reg).service
+        if service.net.gsp.methods:
+            method = algebra.main_method(service)
+            if not method.params:
+                out.append((service, method))
+    return tuple(out)
+
+
+class TestWitness:
+    """Caps 7 and 60 cut most flat graphs short; at 300 states most are
+    complete.  The token game explores fewer states per second: 30 states
+    complete most of its graphs."""
+
+    def test_flat_sweep(self):
+        checked = complete = 0
+        for service, method in sweep_services():
+            flat = analysis.flatten(service, method.name)
+            goals = analysis.flat_goal_places(method)
+            for initial in flat.initial_markings():
+                for cap in (7, 60, 300):
+                    try:
+                        graph = analysis.reachability(
+                            flat, max_states=cap, initial=initial)
+                    except UnboundFreeVariable:
+                        continue
+                    assert_shortest_witness(graph, goals)
+                    checked += 1
+                complete += cap == 300 and not graph.truncated
+        assert checked > 1500 and complete > 400
+
+    def test_explored_sweep(self):
+        complete = 0
+        for service, method in sweep_services():
+            graph = analysis.explore_service(service, method.name,
+                                             max_states=30)
+            assert_shortest_witness(graph, set(method.goal_places))
+            complete += not graph.truncated
+        assert complete > 350

@@ -35,6 +35,16 @@ def doubled_arc_path(tmp_path):
     return path
 
 
+@pytest.fixture
+def empty_domain_path(tmp_path):
+    d = io.service_to_dict(book_order_service())
+    for attr in d["net"]["gsp"]["attributes"]:
+        attr["domain"] = []
+    path = tmp_path / "empty-domain.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
 def compose_file(tmp_path, text):
     path = tmp_path / "term.gnet"
     path.write_text(text)
@@ -69,6 +79,21 @@ class TestValidate:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "[duplicate-arc]" in captured.err
+        assert captured.out == ""
+
+    def test_empty_domain_exit_1(self, empty_domain_path, capsys):
+        assert main(["validate", str(empty_domain_path)]) == 1
+        assert "[empty-domain] Available" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--args", "1"], ["analyze", "--args", "1"],
+        ["export", "--format", "prod"]])
+    def test_empty_domain_model_is_rejected(self, empty_domain_path, command,
+                                            capsys):
+        argv = [command[0], str(empty_domain_path), *command[1:]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "[empty-domain]" in captured.err
         assert captured.out == ""
 
 

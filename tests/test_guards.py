@@ -84,6 +84,11 @@ class TestParsing:
         assert parse_condition("!x == 1") == Not(Compare(Var("x"), "==",
                                                          Lit(1)))
 
+    @pytest.mark.parametrize("text", ["!(a && b)", "!(a || b)",
+                                      "!(a && b) || !(c || d)"])
+    def test_negation_prints_one_pair_of_parentheses(self, text):
+        assert print_condition(parse_condition(text)) == text
+
     def test_multi_assignment(self):
         assert parse_action("a := 1; b := a + 1") == (
             Assign("a", Lit(1)),

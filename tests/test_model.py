@@ -9,10 +9,11 @@ from fixtures import (book_order_service, treat_command_block,
 from gnets import algebra, analysis, dsl
 from gnets.errors import DuplicateService, UnknownBlock, UnknownService
 from gnets.guards import Lit, Var
-from gnets.model import (GOAL, TAU, BlockFragment, GNetModel, GspSpec,
-                         InternalStructure, IspRef, MethodSpec, OpLabel,
-                         Place, PlaceKind, Registry, Token, WebService,
-                         apart, natural_key, rename_apart, validate)
+from gnets.model import (GOAL, TAU, AttributeSpec, BlockFragment, GNetModel,
+                         GspSpec, InternalStructure, IspRef, MethodSpec,
+                         OpLabel, Place, PlaceKind, Registry, Token,
+                         WebService, apart, freeze_marking, natural_key,
+                         rename_apart, validate)
 from test_dsl import make_registry, terms
 
 
@@ -91,7 +92,6 @@ class TestValidate:
         assert any(v.rule == "init-is-goal" for v in report.violations)
 
     def test_attribute_typing(self):
-        from gnets.model import AttributeSpec
         struct = InternalStructure()
         report = validate(make_service(
             struct, attributes=[AttributeSpec("a", "bool", initial=3),
@@ -115,6 +115,13 @@ class TestValidate:
         doubled = replace(struct, arcs=struct.arcs + (("p1", "t1"),))
         report = validate(replace(ws, net=GNetModel(ws.net.gsp, doubled)))
         assert [v.rule for v in report.violations] == ["duplicate-arc"]
+
+    def test_empty_domain(self):
+        ws = book_order_service()
+        gsp = replace(ws.net.gsp, attributes=(
+            AttributeSpec("Available", "bool", None, ()),))
+        report = validate(replace(ws, net=GNetModel(gsp, ws.net.internal)))
+        assert [v.rule for v in report.violations] == ["empty-domain"]
 
 
 class TestRenameApart:
@@ -311,3 +318,23 @@ class TestToken:
         composed = algebra.sequence(algebra.atomic("A", "op"),
                                     algebra.atomic("B", "op"))
         assert not composed.is_basic
+
+
+class TestFreezeMarking:
+    def test_ignores_empty_places_and_token_order(self):
+        a = freeze_marking({"p1": [(2,), (1,)], "p2": [], "p10": [()]})
+        b = freeze_marking({"p10": [()], "p1": [(1,), (2,)], "p3": ()})
+        assert a == b
+        assert hash(a) == hash(b)
+        assert dict(a) == {"p1": ((1,), (2,)), "p10": ((),)}
+
+    def test_tokens_sorted_by_key(self):
+        frozen = freeze_marking({"p": ["bb", "a", "c"]}, token_key=len)
+        assert dict(frozen) == {"p": ("a", "c", "bb")}
+
+    def test_int_and_bool_tokens_are_both_kept(self):
+        assert dict(freeze_marking({"p": [(True,), (1,)]})) == {
+            "p": ((1,), (True,))}
+
+    def test_empty_marking(self):
+        assert freeze_marking({"p": []}) == frozenset()
