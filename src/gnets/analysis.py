@@ -198,6 +198,8 @@ class FlatNet:
     transitions: list  # [FlatTransition]
     initial: dict  # place name -> list of token tuples (may hold Unresolved)
     domains: dict  # var -> tuple of values
+    # the _SuccessorPlan of `transitions`, built by the first successor call
+    _plan: object = field(default=None, init=False, compare=False, repr=False)
 
     def initial_markings(self):
         """All concrete initial markings, enumerating unresolved fields over
@@ -372,13 +374,58 @@ def _bind(inputs, toks):
     return binding
 
 
+@dataclass(frozen=True)
+class _SuccessorPlan:
+    """What `flat_successors` needs of a flat net, computed once per
+    transition list.  A transition whose first input place is unmarked
+    cannot fire, so a marking tries only the transitions indexed under its
+    places, and those with no input."""
+    transitions: list  # the FlatNet.transitions the plan was built from
+    steps: tuple  # per transition: (transition, free variables, rank)
+    by_first_input: dict  # place -> indexes of the transitions it heads
+    no_input: tuple  # indexes of the transitions with no input
+
+
+def _successor_plan(flat: FlatNet) -> _SuccessorPlan:
+    """The cached plan of `flat`, rebuilt when its transition list was
+    replaced.  A rank orders transitions by `natural_key` of their name;
+    names with equal keys share it."""
+    plan = flat._plan
+    if plan is not None and plan.transitions is flat.transitions:
+        return plan
+    keys = [natural_key(t.name) for t in flat.transitions]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    steps, by_first_input, no_input = [], {}, []
+    for index, (t, key) in enumerate(zip(flat.transitions, keys)):
+        needed = set(guards.condition_vars(t.gate))
+        for _, exprs in t.outputs:
+            for e in exprs:
+                needed |= guards.expr_vars(e)
+        free = sorted(needed.difference(*(pattern for _, pattern in t.inputs)))
+        steps.append((t, free, rank[key]))
+        if t.inputs:
+            by_first_input.setdefault(t.inputs[0][0], []).append(index)
+        else:
+            no_input.append(index)
+    flat._plan = _SuccessorPlan(flat.transitions, tuple(steps),
+                                by_first_input, tuple(no_input))
+    return flat._plan
+
+
 def flat_successors(flat: FlatNet, marking: frozenset):
     """All (transition name, binding, successor) triples of a frozen
-    marking.  A successor is frozen too: it is built from the parent's
-    token tuples, replacing those of the places the firing touches."""
+    marking, ordered by the transition's natural-order rank, then by the
+    binding's repr; ties keep the transition list's order.  A successor is
+    frozen too: it is built from the parent's token tuples, replacing those
+    of the places the firing touches."""
+    plan = _successor_plan(flat)
     tokens = dict(marking)
+    candidates = set(plan.no_input)
+    for pname in tokens:
+        candidates.update(plan.by_first_input.get(pname, ()))
     results = []
-    for t in flat.transitions:
+    for index in sorted(candidates):
+        t, free, rank = plan.steps[index]
         pools = []
         for pname, pattern in t.inputs:
             toks = tokens.get(pname)
@@ -394,11 +441,6 @@ def flat_successors(flat: FlatNet, marking: frozenset):
             binding = _bind(t.inputs, [tokens[p][i] for p, i in combo])
             if binding is None:
                 continue
-            needed = set(guards.condition_vars(t.gate))
-            for _, exprs in t.outputs:
-                for e in exprs:
-                    needed |= guards.expr_vars(e)
-            free = sorted(needed - set(binding))
             for name in free:
                 if name not in flat.domains:
                     raise UnboundFreeVariable(name)
@@ -416,9 +458,10 @@ def flat_successors(flat: FlatNet, marking: frozenset):
                 succ = marking.difference(
                     (p, tokens[p]) for p in touched if p in tokens).union(
                     (p, toks) for p, toks in touched.items() if toks)
-                results.append((t.name, tuple(sorted(full.items())), succ))
-    results.sort(key=lambda r: (natural_key(r[0]), repr(r[1])))
-    return results
+                pairs = tuple(sorted(full.items()))
+                results.append((rank, repr(pairs), (t.name, pairs, succ)))
+    results.sort(key=itemgetter(0, 1))
+    return [triple for _, _, triple in results]
 
 
 def reachability(flat: FlatNet, max_states: int = 100000,

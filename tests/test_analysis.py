@@ -1,18 +1,23 @@
+import dataclasses
 import functools
 import random
 from collections import deque
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reach_oracle
 import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
                       gated_false_service, treat_command_block,
                       treat_command_service)
-from gnets import algebra, analysis, dsl, guards, sim
-from gnets.errors import (DepthLimitExceeded, UnboundFreeVariable,
+from gnets import algebra, analysis, dsl, guards, prod, sim
+from gnets.errors import (DepthLimitExceeded, GnetError, UnboundFreeVariable,
                           UnflattenableIsp)
-from gnets.model import PlaceKind, Registry, freeze_marking, validate
+from gnets.model import (PlaceKind, Registry, freeze_marking, natural_key,
+                         validate)
 
 
 def make_registry():
@@ -209,6 +214,180 @@ class TestReachability:
         runs2 = [analysis.reachability(flat, initial=m)
                  for m in flat.initial_markings()]
         assert [g.edges for g in runs] == [g.edges for g in runs2]
+
+
+def full_scan_successors(flat, marking):
+    """The reference successor function: every transition of the list is
+    tried in every state, and each result sorted by `natural_key`."""
+    tokens = dict(marking)
+    results = []
+    for t in flat.transitions:
+        pools = []
+        for pname, pattern in t.inputs:
+            toks = tokens.get(pname)
+            if not toks:
+                pools = None
+                break
+            pools.append([(pname, i) for i in range(len(toks)) if i == 0
+                          or repr(toks[i]) != repr(toks[i - 1])])
+        if pools is None:
+            continue
+        for combo in product(*pools):
+            binding = analysis._bind(t.inputs,
+                                     [tokens[p][i] for p, i in combo])
+            if binding is None:
+                continue
+            needed = set(guards.condition_vars(t.gate))
+            for _, exprs in t.outputs:
+                for e in exprs:
+                    needed |= guards.expr_vars(e)
+            free = sorted(needed - set(binding))
+            for name in free:
+                if name not in flat.domains:
+                    raise UnboundFreeVariable(name)
+            for values in product(*(flat.domains[name] for name in free)):
+                full = {**binding, **dict(zip(free, values))}
+                if not guards.eval_condition(t.gate, full):
+                    continue
+                touched = {p: tokens[p][:i] + tokens[p][i + 1:]
+                           for p, i in combo}
+                for pname, exprs in t.outputs:
+                    tok = tuple(guards.eval_expr(e, full) for e in exprs)
+                    toks = touched.get(pname, tokens.get(pname, ()))
+                    touched[pname] = tuple(sorted(toks + (tok,), key=repr))
+                succ = marking.difference(
+                    (p, tokens[p]) for p in touched if p in tokens).union(
+                    (p, toks) for p, toks in touched.items() if toks)
+                results.append((t.name, tuple(sorted(full.items())), succ))
+    results.sort(key=lambda r: (natural_key(r[0]), repr(r[1])))
+    return results
+
+
+# p01 and p1, T_p01 and T_p1 tie under natural_key
+PLACES = ("p01", "p1", "p2", "p10")
+NAMES = ("T_p01", "T_p1", "t01", "t1")
+PATTERN_VARS = ("x", "y")
+DOMAINS = {"d": (0, 1), "e": (True, 1)}
+VALUES = (0, 1, True, False)
+
+
+EXPRS = st.one_of(
+    st.sampled_from(VALUES).map(guards.Lit),
+    st.sampled_from(PATTERN_VARS + tuple(DOMAINS)).map(guards.Var))
+
+
+def flat_transition(name, inputs, outputs, gate):
+    """A transition whose gate and outputs read a variable no input binds
+    as the free variable d."""
+    bound = {v for _, pattern in inputs for v in pattern}
+    free = {v: guards.Var("d") for v in PATTERN_VARS if v not in bound}
+    return analysis.FlatTransition(
+        name, inputs,
+        tuple((p, tuple(guards.subst_expr(e, free) for e in exprs))
+              for p, exprs in outputs),
+        guards.subst_condition(gate, free))
+
+
+flat_transitions = st.builds(
+    flat_transition,
+    st.sampled_from(NAMES),
+    st.lists(st.tuples(
+        st.sampled_from(PLACES),
+        st.lists(st.sampled_from(PATTERN_VARS), min_size=1, max_size=2)
+        .map(tuple)), max_size=3).map(tuple),
+    st.lists(st.tuples(
+        st.sampled_from(PLACES),
+        st.lists(EXPRS, min_size=1, max_size=2).map(tuple)),
+        max_size=2).map(tuple),
+    st.one_of(st.just(guards.TRUE), st.just(guards.TRUE),
+              st.builds(guards.Compare, EXPRS,
+                        st.sampled_from(("==", "!=")), EXPRS)))
+TOKENS = st.lists(st.sampled_from(VALUES), min_size=1, max_size=2).map(tuple)
+
+
+def outcome(successors, flat, marking):
+    try:
+        return successors(flat, marking)
+    except GnetError as exc:
+        return type(exc), str(exc)
+
+
+def chain_net(initial):
+    """s -> t_go -> c, and t_stuck reads `undeclared`, which no input
+    binds and no domain declares, from its never-marked preset a."""
+    return analysis.FlatNet(
+        places={}, domains={}, initial=initial, transitions=[
+            analysis.FlatTransition(
+                "t_go", (("s", ("x",)),), (("c", (guards.Var("x"),)),)),
+            analysis.FlatTransition(
+                "t_stuck", (("a", ("x",)),),
+                (("c", (guards.Var("x"), guards.Var("undeclared"))),))])
+
+
+def book_order_flat():
+    return analysis.flatten(book_order_service(), "Command", args={"seq": 1})
+
+
+def graphs(flat):
+    return [analysis.reachability(flat, initial=m)
+            for m in flat.initial_markings()]
+
+
+class TestCompiledEngine:
+    """`flat_successors` tries only the transitions whose first input place
+    is marked, from a plan compiled once per transition list; its results
+    must equal a full scan's, order included."""
+
+    @given(st.lists(flat_transitions, min_size=2, max_size=6),
+           st.dictionaries(st.sampled_from(PLACES),
+                           st.lists(TOKENS, min_size=1, max_size=3),
+                           min_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_scan(self, transitions, initial):
+        flat = analysis.FlatNet(places={}, transitions=transitions,
+                                initial=initial, domains=DOMAINS)
+        marking = freeze_marking(initial)
+        expected = outcome(full_scan_successors, flat, marking)
+        assert outcome(analysis.flat_successors, flat, marking) == expected
+        if isinstance(expected, list):  # the plan is built by now
+            for _, _, succ in expected:
+                assert (outcome(analysis.flat_successors, flat, succ)
+                        == outcome(full_scan_successors, flat, succ))
+
+    def test_unmarked_preset_leaves_unbound_variable_unread(self):
+        graph = analysis.reachability(chain_net({"s": [(0,)]}))
+        assert len(graph.out) == 2 and len(graph.edges) == 1
+        with pytest.raises(UnboundFreeVariable) as info:
+            analysis.reachability(chain_net({"a": [(0,)]}))
+        assert info.value.name == "undeclared"
+
+    def test_replaced_transition_list_is_compiled_anew(self):
+        explored = book_order_flat()
+        graphs(explored)
+        kept = [t for t in explored.transitions if t.name != "T3"]
+        fresh = book_order_flat()
+        fresh.transitions = kept
+        expected = graphs(fresh)
+        assert expected != graphs(book_order_flat())
+        assert graphs(dataclasses.replace(explored, transitions=kept)) \
+            == expected
+        explored.transitions = kept
+        assert graphs(explored) == expected
+
+    def test_reparsed_net_explores_like_a_fresh_one(self):
+        reg = make_registry()
+        service = analysis.inline_isps(compose("par(a, b)", reg),
+                                       reg).service
+        explored = analysis.flatten(service)
+        graphs(explored)
+        back = prod.reparse_prod(prod.export_prod(explored))
+        assert graphs(back) == graphs(analysis.flatten(service))
+
+    def test_exploring_leaves_equality_and_repr(self):
+        flat = book_order_flat()
+        text, twin = repr(flat), book_order_flat()
+        graphs(flat)
+        assert repr(flat) == text and flat == twin
 
 
 class TestOracleAgreement:

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 from gnets import algebra, analysis, dsl, sim
-from gnets.model import Registry
+from gnets.guards import Var
+from gnets.model import Registry, freeze_marking
 
 reg = Registry()
 for name in ("a", "b", "c"):
@@ -32,6 +33,18 @@ print(analysis.analyze(graph, set(method.goal_places)).to_text())
 state = sim.init_state(ws, algebra.main_method(ws).name, registry=reg,
                        config=sim.SimConfig(policy="random", seed=3))
 print("\\n".join(sim.format_trace(sim.run(state)[0])))
+# T_p01 and T_p1 tie under natural_key, and so do their results: only the
+# transition list orders them, whichever marked place comes first
+flat = analysis.FlatNet(
+    places={}, domains={},
+    initial={p: [(1,)] for p in ("p01", "p1", "p2", "p10")},
+    transitions=[analysis.FlatTransition(name, ((p, ("x",)),),
+                                         (("q", (Var("x"),)),))
+                 for name, p in (("T_p1", "p10"), ("T_p01", "p2"),
+                                 ("T_p1", "p01"), ("T_p01", "p1"))])
+for name, binding, succ in analysis.flat_successors(
+        flat, freeze_marking(flat.initial)):
+    print(name, binding, analysis.canonical_marking(succ))
 """
 
 
