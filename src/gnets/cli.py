@@ -72,12 +72,7 @@ def cmd_validate(args):
 def cmd_compose(args):
     reg = _registry(args)
     text = Path(args.expr).read_text()
-    try:
-        term = dsl.parse_expr(text)
-        ws = dsl.eval_expr(term, reg)
-    except GnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+    ws = dsl.eval_expr(dsl.parse_expr(text), reg)
     report = validate(ws)
     if not report.ok:
         print(report, file=sys.stderr)

@@ -104,6 +104,16 @@ def _structure_from_dict(d: dict) -> InternalStructure:
 
 # --- Service <-> dict ------------------------------------------------------
 
+# what reading a document of the wrong shape raises: a missing key, or a
+# value of the wrong type (a list for an object, a number for a text, ...)
+_MALFORMED = (KeyError, TypeError, AttributeError)
+
+
+def _malformed(exc) -> ParseError:
+    if isinstance(exc, KeyError):
+        return ParseError(0, f"missing field {exc.args[0]!r}")
+    return ParseError(0, f"malformed document: {exc}")
+
 
 def service_to_dict(ws: WebService) -> dict:
     return {
@@ -158,8 +168,8 @@ def service_from_dict(d: dict) -> WebService:
             net=GNetModel(GspSpec(methods, attributes),
                           _structure_from_dict(d["net"]["is"])),
         )
-    except KeyError as exc:
-        raise ParseError(0, f"missing field {exc.args[0]!r}") from None
+    except _MALFORMED as exc:
+        raise _malformed(exc) from None
 
 
 def block_to_dict(name: str, block: BlockFragment) -> dict:
@@ -183,8 +193,8 @@ def block_from_dict(d: dict) -> tuple:
             raise ParseError(0, f"declared exit {declared_exit} does not "
                              f"match computed {block.exits}")
         return d["name"], block
-    except KeyError as exc:
-        raise ParseError(0, f"missing field {exc.args[0]!r}") from None
+    except _MALFORMED as exc:
+        raise _malformed(exc) from None
 
 
 # --- Files -----------------------------------------------------------------

@@ -270,11 +270,10 @@ class WebService:
 @dataclass(frozen=True)
 class Token:
     fields: tuple = ()  # tuple[(name, value), ...], sorted by name
-    returned: bool = True
 
     @staticmethod
-    def make(fields: dict, returned=True):
-        return Token(tuple(sorted(fields.items())), returned)
+    def make(fields: dict):
+        return Token(tuple(sorted(fields.items())))
 
     def field_map(self):
         return dict(self.fields)

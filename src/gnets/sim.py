@@ -1,9 +1,11 @@
 """Token-game execution: enabling, firing, synchronous cross-net invocation
 through ISP places, and policy-driven runs.
 
-States are values; every step function returns a new state.  An ISP place
-holding a token immediately runs the invoked method to completion; the token
-becomes consumable downstream only once that call has returned.
+States are values; every step function returns a new state.  A token is its
+fields.  Putting a token on an ISP place runs the invoked method to
+completion inside the same step (`init_state` or `fire`): the place receives
+the token the call returns, and the call's events follow the event of the
+firing that put the token.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from itertools import product
 
 from . import algebra, guards
 from .errors import (ArityMismatch, DepthLimitExceeded, NotEnabled,
-                     SubnetDeadlock, UnboundFreeVariable, UnknownMethod)
+                     SubnetDeadlock, UnboundFreeVariable, UnknownMethod,
+                     UnknownService)
 from .model import (PlaceKind, Registry, Token, WebService, freeze_marking,
                     natural_key)
 
@@ -76,17 +79,19 @@ def init_state(ws: WebService, method_name: str, args=(), registry=None,
             f"{ws.name}.{method_name} takes {len(method.params)} argument(s), "
             f"got {len(args)}")
     fields = {pname: value for (pname, _), value in zip(method.params, args)}
-    init_place = ws.net.internal.place_map[method.init_place]
-    token = Token.make(fields,
-                       returned=init_place.kind is not PlaceKind.ISP)
+    init, token = method.init_place, Token.make(fields)
     env = {a.name: a.initial for a in ws.net.gsp.attributes
            if a.initial is not None}
     state = SimState(ws=ws, method_name=method_name,
-                     marking=freeze_marking({method.init_place: [token]},
-                                            _fields_repr),
+                     marking=freeze_marking({init: [token]}, _fields_repr),
                      env=_freeze_env(env), depth=depth, registry=registry,
                      config=config)
-    return _settle(state)
+    if ws.net.internal.place_map[init].kind is PlaceKind.ISP:
+        token, events = invoke_isp(state, init, token)
+        state = replace(state,
+                        marking=freeze_marking({init: [token]}, _fields_repr),
+                        trace=events)
+    return state
 
 
 # --- Enabling --------------------------------------------------------------
@@ -135,7 +140,7 @@ def _bindings(state: SimState, tid: str):
     ins_map = struct.inscription_map
     pools = []
     for pid in struct.pre(tid):
-        toks = [t for t in marking.get(pid, ()) if t.returned]
+        toks = marking.get(pid)
         if not toks:
             return
         pools.append([(pid, t) for t in toks])
@@ -225,6 +230,7 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
     ins_map = struct.inscription_map
     place_map = struct.place_map
     produced_log = []
+    calls = ()
     merged = {}
     for _, token in combo:
         merged.update(token.field_map())
@@ -240,57 +246,37 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
                 fields[name] = guards.eval_expr(expr, scope2)
         else:
             fields = dict(merged)
-        token = Token.make(fields,
-                           returned=place_map[q].kind is not PlaceKind.ISP)
-        marking.setdefault(q, []).append(token)
+        token = Token.make(fields)
         produced_log.append((q, token.fields))
+        if place_map[q].kind is PlaceKind.ISP:
+            token, events = invoke_isp(state, q, token)
+            calls += events
+        marking.setdefault(q, []).append(token)
 
     event = FiringEvent(state.depth, tid, tuple(sorted(binding.items())),
                         tuple(consumed_log), tuple(produced_log))
-    new_state = replace(state, marking=freeze_marking(marking, _fields_repr),
-                        env=_freeze_env(new_env),
-                        trace=state.trace + (event,))
-    return _settle(new_state)
+    return replace(state, marking=freeze_marking(marking, _fields_repr),
+                   env=_freeze_env(new_env),
+                   trace=state.trace + (event,) + calls)
 
 
 # --- ISP invocation --------------------------------------------------------
 
-def _pending_isps(state: SimState):
-    place_map = state.ws.net.internal.place_map
-    out = []
-    for pid, toks in state.marking:
-        if place_map[pid].kind is PlaceKind.ISP and any(
-                not t.returned for t in toks):
-            out.append(pid)
-    return sorted(out, key=natural_key)
-
-
-def _settle(state: SimState) -> SimState:
-    while True:
-        pending = _pending_isps(state)
-        if not pending:
-            return state
-        state = invoke_isp(state, pending[0])
-
-
-def invoke_isp(state: SimState, pid: str) -> SimState:
+def invoke_isp(state: SimState, pid: str, token: Token):
+    """Run the call that `token` makes as it is put on the ISP place `pid`
+    of `state`'s net.  Returns the token the call returns, which carries the
+    method's goal fields over the call's own, and the call's events."""
     place = state.ws.net.internal.place_map[pid]
-    marking = {p: list(toks) for p, toks in state.marking}
-    token = next(t for t in marking[pid] if not t.returned)
-
     if state.depth + 1 > state.config.depth_limit:
         raise DepthLimitExceeded(
             f"invocation depth {state.depth + 1} exceeds the limit "
             f"{state.config.depth_limit}")
     if state.registry is None:
-        from .errors import UnknownService
         raise UnknownService(place.invoked_gnet)
     svc = state.registry.lookup(place.invoked_gnet)
     if algebra.is_empty_service(svc):
         # the empty service performs no operation: the call returns at once
-        marking[pid].remove(token)
-        marking[pid].append(replace(token, returned=True))
-        return replace(state, marking=freeze_marking(marking, _fields_repr))
+        return token, ()
     method = algebra.invoked_method(svc, place.using_method)
 
     fields = token.field_map()
@@ -311,14 +297,10 @@ def invoke_isp(state: SimState, pid: str) -> SimState:
             f"({outcome})")
 
     sub_marking = sub.marking_map()
-    result_fields = dict(fields)
     for g in sorted(method.goal_places, key=natural_key):
         for tok in sub_marking.get(g, ()):
-            result_fields.update(tok.field_map())
-    marking[pid].remove(token)
-    marking[pid].append(Token.make(result_fields, returned=True))
-    return replace(state, marking=freeze_marking(marking, _fields_repr),
-                   trace=state.trace + sub.trace)
+            fields.update(tok.field_map())
+    return Token.make(fields), sub.trace
 
 
 # --- Runs ------------------------------------------------------------------
@@ -326,8 +308,7 @@ def invoke_isp(state: SimState, pid: str) -> SimState:
 def _at_goal(state: SimState) -> bool:
     method = state.ws.net.gsp.method(state.method_name)
     marking = state.marking_map()
-    return any(any(t.returned for t in marking.get(g, ()))
-               for g in method.goal_places)
+    return any(g in marking for g in method.goal_places)
 
 
 def run(state: SimState):

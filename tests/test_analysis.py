@@ -514,7 +514,7 @@ class TestAnalyzeReport:
         graph = analysis.explore_service(gated_false_service(), "Never")
         report = analysis.analyze(graph, set())
         assert report.to_text().splitlines()[-1] == (
-            "deadlock: (('p1', (Token(fields=(), returned=True),)),)")
+            "deadlock: (('p1', (Token(fields=()),)),)")
 
 
 def assert_shortest_witness(graph, goal_places):

@@ -1,4 +1,6 @@
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
 
@@ -67,6 +69,25 @@ class TestValidate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("where, value", [
+        ((), []),
+        (("net", "is", "places", 0), "P1"),
+        (("net", "is", "inscriptions", 0, "fields"), 5),
+        (("net", "gsp", "attributes", 0, "domain"), 5),
+    ], ids=["list", "place-string", "fields-number", "domain-number"])
+    def test_malformed_document_exit_2(self, tmp_path, capsys, where, value):
+        doc = io.service_to_dict(book_order_service())
+        if where:
+            *outer, last = where
+            reduce(getitem, outer, doc)[last] = value
+        else:
+            doc = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_duplicate_arc_exit_1(self, doubled_arc_path, capsys):
         assert main(["validate", str(doubled_arc_path)]) == 1
         assert "duplicate-arc" in capsys.readouterr().out
@@ -119,6 +140,12 @@ class TestCompose:
         term = compose_file(tmp_path, "replace(seq(a, b), a, empty)")
         assert main(["compose", str(term), "--registry",
                      str(registry_dir)]) == 1
+
+    def test_syntax_error_exit_2(self, tmp_path, registry_dir, capsys):
+        term = compose_file(tmp_path, "seq(a,")
+        assert main(["compose", str(term), "--registry",
+                     str(registry_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_registry_from_environment(self, tmp_path, registry_dir,
                                        monkeypatch, capsys):

@@ -12,7 +12,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 from gnets import algebra, analysis, dsl, sim
 from gnets.guards import Var
-from gnets.model import Registry, freeze_marking
+from gnets.model import (GNetModel, GspSpec, InternalStructure, MethodSpec,
+                         Place, PlaceKind, Registry, WebService,
+                         freeze_marking, rename_apart)
 
 reg = Registry()
 for name in ("a", "b", "c"):
@@ -45,6 +47,22 @@ flat = analysis.FlatNet(
 for name, binding, succ in analysis.flat_successors(
         flat, freeze_marking(flat.initial)):
     print(name, binding, analysis.canonical_marking(succ))
+# t1 feeds the ISP places p01 and p1, which tie under natural_key: their
+# calls run in the order of t1's output places, whatever the seed
+calls = Registry()
+calls.insert(algebra.atomic("a", "op-a"))
+calls.insert(rename_apart(algebra.atomic("b", "op-b"), "B"))
+ws = WebService("fork", net=GNetModel(
+    GspSpec((MethodSpec("Fork", "", (), "p0", frozenset({"p2"})),)),
+    InternalStructure(
+        places=(Place("p0"), Place("p01", PlaceKind.ISP, "a", "Atomic"),
+                Place("p1", PlaceKind.ISP, "b", "Atomic"),
+                Place("p2", PlaceKind.GOAL)),
+        transitions=("t1", "t2"),
+        arcs=(("p0", "t1"), ("t1", "p01"), ("t1", "p1"), ("p01", "t2"),
+              ("p1", "t2"), ("t2", "p2")))))
+state = sim.init_state(ws, "Fork", registry=calls)
+print("\\n".join(sim.format_trace(sim.run(state)[0])))
 """
 
 
