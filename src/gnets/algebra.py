@@ -1,7 +1,7 @@
 """The nine-operator composition algebra plus the empty and atomic
-constructors.  Every operator returns a fully valid WebService whose net is
-the documented fixed skeleton; operand services are referenced through ISP
-places by name.
+constructors.  Every operator states its fixed skeleton as data, (place,
+role) nodes plus arcs, and returns a fully valid WebService over it; operand
+services are referenced through ISP places by name.
 """
 
 from __future__ import annotations
@@ -26,46 +26,26 @@ def main_method(ws: WebService) -> MethodSpec:
     return candidates[0]
 
 
-def invoked_method(ws: WebService, name: str) -> MethodSpec:
-    """The method an ISP invoking `name` on `ws` runs: the named method, or
-    the main method for the "main" placeholder."""
-    method = ws.net.gsp.method(name)
-    if method is not None:
-        return method
-    if name == "main":
-        return main_method(ws)
-    raise UnknownMethod(ws.name, name)
-
-
-def main_method_name(ws: WebService) -> str:
-    try:
-        return main_method(ws).name
-    except UnknownMethod:
-        return "main"  # placeholder for method-less operands (the empty service)
-
-
 def is_empty_service(ws: WebService) -> bool:
+    """Whether `ws` has the empty service's net: one place, no transition."""
     struct = ws.net.internal
-    return (not ws.net.gsp.methods and len(struct.places) == 1
-            and not struct.transitions)
-
-
-def _isp(pid, ws):
-    mname = main_method_name(ws)
-    place = Place(pid, PlaceKind.ISP, invoked_gnet=ws.name, using_method=mname)
-    return place, IspRef(ws.name, mname)
+    return len(struct.places) == 1 and not struct.transitions
 
 
 def empty_service() -> WebService:
+    """The algebra's neutral element: one method whose initial place is its
+    goal, so a call to it returns at once."""
     struct = InternalStructure(
-        places=(Place("p1"),),
-        labels=(("p1", TAU),),
+        places=(Place("p1", PlaceKind.GOAL),),
+        labels=(("p1", GOAL),),
     )
+    method = MethodSpec(EMPTY_NAME, "perform no operation", (), "p1",
+                        frozenset({"p1"}))
     return WebService(
         name=EMPTY_NAME,
         desc="Empty Web Service",
         component_services=frozenset({EMPTY_NAME}),
-        net=GNetModel(gsp=GspSpec(), internal=struct),
+        net=GNetModel(gsp=GspSpec(methods=(method,)), internal=struct),
     )
 
 
@@ -113,10 +93,40 @@ def with_request_method(ws: WebService) -> WebService:
     return replace(ws, net=GNetModel(gsp=gsp, internal=new_struct))
 
 
-def _composite(op, description, operands, struct, goal, params=(),
-               attributes=()):
-    """The `op` composite of `operands` over the skeleton `struct`: one
-    method `op` from p1 to `goal`, and the operands' component services."""
+def _node(pid, role):
+    """The place and label of skeleton node `pid` playing `role`: TAU, an
+    OpLabel, GOAL, an operand service (an ISP to its main method) or a
+    (service, method) pair (an ISP to that method)."""
+    if role is GOAL:
+        return Place(pid, PlaceKind.GOAL), GOAL
+    if role is TAU or isinstance(role, OpLabel):
+        return Place(pid), role
+    ws, method = role if isinstance(role, tuple) else \
+        (role, main_method(role).name)
+    return (Place(pid, PlaceKind.ISP, invoked_gnet=ws.name,
+                  using_method=method), IspRef(ws.name, method))
+
+
+def _composite(op, description, operands, nodes, arcs, params=(),
+               attributes=(), **annotations):
+    """The `op` composite of `operands` over the skeleton `nodes`, (place
+    id, role) pairs in place order, and `arcs` between them and the
+    transitions t1..tk; `annotations` are the skeleton's inscriptions,
+    conditions and actions.  One method `op` runs from p1 to the GOAL node;
+    the component services are the operands'."""
+    places, labels = [], []
+    for pid, role in nodes:
+        place, label = _node(pid, role)
+        places.append(place)
+        labels.append((pid, label))
+        if role is GOAL:
+            goal = pid
+    pids = {pid for pid, _ in nodes}
+    k = len({b if a in pids else a for a, b in arcs})
+    struct = InternalStructure(
+        places=tuple(places),
+        transitions=tuple(f"t{i}" for i in range(1, k + 1)),
+        arcs=tuple(arcs), labels=tuple(labels), **annotations)
     method = MethodSpec(op, description, params, "p1", frozenset({goal}))
     names = ",".join(s.name for s in operands)
     return WebService(
@@ -128,80 +138,46 @@ def _composite(op, description, operands, struct, goal, params=(),
 
 
 def sequence(s1: WebService, s2: WebService) -> WebService:
-    pl1, l1 = _isp("p1", s1)
-    pl2, l2 = _isp("p2", s2)
-    struct = InternalStructure(
-        places=(pl1, pl2, Place("p3", PlaceKind.GOAL)),
-        transitions=("t1", "t2"),
-        arcs=(("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p3")),
-        labels=(("p1", l1), ("p2", l2), ("p3", GOAL)),
-    )
-    return _composite("Seq", "run the operands in order", (s1, s2), struct,
-                      "p3")
+    return _composite(
+        "Seq", "run the operands in order", (s1, s2),
+        (("p1", s1), ("p2", s2), ("p3", GOAL)),
+        (("p1", "t1"), ("t1", "p2"), ("p2", "t2"), ("t2", "p3")))
 
 
 def alternative(s1: WebService, s2: WebService) -> WebService:
-    pl2, l2 = _isp("p2", s1)
-    pl3, l3 = _isp("p3", s2)
-    struct = InternalStructure(
-        places=(Place("p1"), pl2, pl3, Place("p4", PlaceKind.GOAL)),
-        transitions=("t1", "t2", "t3", "t4"),
-        arcs=(("p1", "t1"), ("t1", "p2"), ("p2", "t3"), ("t3", "p4"),
-              ("p1", "t2"), ("t2", "p3"), ("p3", "t4"), ("t4", "p4")),
-        labels=(("p1", TAU), ("p2", l2), ("p3", l3), ("p4", GOAL)),
-    )
-    return _composite("Alt", "run exactly one operand", (s1, s2), struct,
-                      "p4")
+    return _composite(
+        "Alt", "run exactly one operand", (s1, s2),
+        (("p1", TAU), ("p2", s1), ("p3", s2), ("p4", GOAL)),
+        (("p1", "t1"), ("t1", "p2"), ("p2", "t3"), ("t3", "p4"),
+         ("p1", "t2"), ("t2", "p3"), ("p3", "t4"), ("t4", "p4")))
 
 
 def iteration(s: WebService) -> WebService:
-    pl1, l1 = _isp("p1", s)
-    struct = InternalStructure(
-        places=(pl1, Place("p2", PlaceKind.GOAL)),
-        transitions=("t1", "t2"),
-        arcs=(("p1", "t1"), ("t1", "p1"), ("p1", "t2"), ("t2", "p2")),
-        labels=(("p1", l1), ("p2", GOAL)),
-    )
-    return _composite("Iter", "run the operand repeatedly", (s,), struct,
-                      "p2")
+    return _composite(
+        "Iter", "run the operand repeatedly", (s,),
+        (("p1", s), ("p2", GOAL)),
+        (("p1", "t1"), ("t1", "p1"), ("p1", "t2"), ("t2", "p2")))
 
 
 def arbitrary_sequence(s1: WebService, s2: WebService) -> WebService:
-    pl5, l5 = _isp("p5", s1)
-    pl6, l6 = _isp("p6", s2)
-    places = tuple(Place(f"p{i}") for i in (1, 2, 3, 4)) + (pl5, pl6) + \
-        tuple(Place(f"p{i}") for i in (7, 8)) + (Place("p9", PlaceKind.GOAL),)
-    arcs = (
-        ("p1", "t1"), ("t1", "p2"), ("t1", "p3"), ("t1", "p4"),
-        ("p2", "t2"), ("t2", "p5"), ("p5", "t4"), ("t4", "p7"), ("t4", "p3"),
-        ("p7", "t6"), ("t6", "p9"), ("p3", "t2"), ("p3", "t3"), ("p3", "t6"),
-        ("p4", "t3"), ("t3", "p6"), ("p6", "t5"), ("t5", "p3"), ("t5", "p8"),
-        ("p8", "t6"),
-    )
-    labels = tuple((f"p{i}", TAU) for i in (1, 2, 3, 4, 7, 8)) + \
-        (("p5", l5), ("p6", l6), ("p9", GOAL))
-    struct = InternalStructure(
-        places=places,
-        transitions=tuple(f"t{i}" for i in range(1, 7)),
-        arcs=arcs,
-        labels=labels,
-    )
-    return _composite("ArbSeq", "run the operands in either order, never "
-                      "concurrently", (s1, s2), struct, "p9")
+    return _composite(
+        "ArbSeq", "run the operands in either order, never concurrently",
+        (s1, s2),
+        (("p1", TAU), ("p2", TAU), ("p3", TAU), ("p4", TAU), ("p5", s1),
+         ("p6", s2), ("p7", TAU), ("p8", TAU), ("p9", GOAL)),
+        (("p1", "t1"), ("t1", "p2"), ("t1", "p3"), ("t1", "p4"),
+         ("p2", "t2"), ("t2", "p5"), ("p5", "t4"), ("t4", "p7"), ("t4", "p3"),
+         ("p7", "t6"), ("t6", "p9"), ("p3", "t2"), ("p3", "t3"), ("p3", "t6"),
+         ("p4", "t3"), ("t3", "p6"), ("p6", "t5"), ("t5", "p3"), ("t5", "p8"),
+         ("p8", "t6")))
 
 
 def parallel(s1: WebService, s2: WebService) -> WebService:
-    pl2, l2 = _isp("p2", s1)
-    pl3, l3 = _isp("p3", s2)
-    struct = InternalStructure(
-        places=(Place("p1"), pl2, pl3, Place("p4", PlaceKind.GOAL)),
-        transitions=("t1", "t2"),
-        arcs=(("p1", "t1"), ("t1", "p2"), ("t1", "p3"),
-              ("p2", "t2"), ("p3", "t2"), ("t2", "p4")),
-        labels=(("p1", TAU), ("p2", l2), ("p3", l3), ("p4", GOAL)),
-    )
-    return _composite("Par", "run the operands concurrently and join",
-                      (s1, s2), struct, "p4")
+    return _composite(
+        "Par", "run the operands concurrently and join", (s1, s2),
+        (("p1", TAU), ("p2", s1), ("p3", s2), ("p4", GOAL)),
+        (("p1", "t1"), ("t1", "p2"), ("t1", "p3"),
+         ("p2", "t2"), ("p3", "t2"), ("t2", "p4")))
 
 
 def discriminator(first_n, last: WebService) -> WebService:
@@ -212,20 +188,8 @@ def discriminator(first_n, last: WebService) -> WebService:
         raise EmptyBranchSet("discriminator requires at least one racing branch")
     n = len(first_n) + 1
 
-    places = [Place("p1")]
-    labels = [("p1", TAU)]
-    for i in range(2, n + 1):
-        pl, lab = _isp(f"p{i}", first_n[i - 2])
-        places.append(pl)
-        labels.append((f"p{i}", lab))
-    places.append(Place(f"p{n + 1}"))
-    labels.append((f"p{n + 1}", TAU))
-    pl_last, lab_last = _isp(f"p{n + 2}", last)
-    places.append(pl_last)
-    labels.append((f"p{n + 2}", lab_last))
-    places.append(Place(f"p{n + 3}", PlaceKind.GOAL))
-    labels.append((f"p{n + 3}", GOAL))
-
+    nodes = [("p1", TAU), *((f"p{i}", s) for i, s in enumerate(first_n, 2)),
+             (f"p{n + 1}", TAU), (f"p{n + 2}", last), (f"p{n + 3}", GOAL)]
     arcs = [(f"p{i}", f"t{i}") for i in range(1, n + 3)]
     for i in range(2, n + 1):
         arcs.append(("t1", f"p{i}"))
@@ -234,32 +198,18 @@ def discriminator(first_n, last: WebService) -> WebService:
              (f"t{n + 2}", f"p{n + 3}"), (f"t{n + 3}", f"p{n + 3}")]
 
     b = guards.Var("B")
-    inscriptions = (
-        (("p1", "t1"), (b,)),
-        ((f"p{n + 1}", f"t{n + 1}"), (b,)),
-        ((f"p{n + 1}", f"t{n + 3}"), (b,)),
-    )
-    conditions = (
-        (f"t{n + 1}", guards.Compare(b, "==", guards.Lit(True))),
-        (f"t{n + 3}", guards.Compare(b, "==", guards.Lit(False))),
-    )
-    actions = (
-        ("t1", (guards.Assign("B", guards.Lit(True)),)),
-        (f"t{n + 1}", (guards.Assign("B", guards.Lit(False)),)),
-    )
-    struct = InternalStructure(
-        places=tuple(places),
-        transitions=tuple(f"t{i}" for i in range(1, n + 4)),
-        arcs=tuple(arcs),
-        inscriptions=inscriptions,
-        conditions=conditions,
-        actions=actions,
-        labels=tuple(labels),
-    )
     return _composite(
         "Disc", "first racer to finish triggers the continuation",
-        first_n + [last], struct, f"p{n + 3}",
-        attributes=(AttributeSpec("B", "bool", initial=False),))
+        first_n + [last], nodes, arcs,
+        attributes=(AttributeSpec("B", "bool", initial=False),),
+        inscriptions=((("p1", "t1"), (b,)),
+                      ((f"p{n + 1}", f"t{n + 1}"), (b,)),
+                      ((f"p{n + 1}", f"t{n + 3}"), (b,))),
+        conditions=((f"t{n + 1}", guards.Compare(b, "==", guards.Lit(True))),
+                    (f"t{n + 3}",
+                     guards.Compare(b, "==", guards.Lit(False)))),
+        actions=(("t1", (guards.Assign("B", guards.Lit(True)),)),
+                 (f"t{n + 1}", (guards.Assign("B", guards.Lit(False)),))))
 
 
 def selection(services, choice: int = 0) -> WebService:
@@ -278,29 +228,13 @@ def selection(services, choice: int = 0) -> WebService:
     for s in services:
         if s.net.gsp.method("req") is None:
             raise MissingReqMethod(s.name)
-        main_method(s)  # raises UnknownMethod if absent
     n = len(services)
 
-    places = [Place("p1")]
-    labels = [("p1", OpLabel("Create-request"))]
-    for i in range(2, n + 2):
-        svc = services[i - 2]
-        pid = f"p{i}"
-        places.append(Place(pid, PlaceKind.ISP, invoked_gnet=svc.name,
-                            using_method="req"))
-        labels.append((pid, IspRef(svc.name, "req")))
-    places.append(Place(f"p{n + 2}"))
-    labels.append((f"p{n + 2}", OpLabel("Select-Service")))
-    for i in range(2, n + 2):
-        svc = services[i - 2]
-        pid = f"p{i + n + 1}"
-        mname = main_method_name(svc)
-        places.append(Place(pid, PlaceKind.ISP, invoked_gnet=svc.name,
-                            using_method=mname))
-        labels.append((pid, IspRef(svc.name, mname)))
-    places.append(Place(f"p{2 * n + 3}", PlaceKind.GOAL))
-    labels.append((f"p{2 * n + 3}", GOAL))
-
+    nodes = [("p1", OpLabel("Create-request")),
+             *((f"p{i}", (s, "req")) for i, s in enumerate(services, 2)),
+             (f"p{n + 2}", OpLabel("Select-Service")),
+             *((f"p{i}", s) for i, s in enumerate(services, n + 3)),
+             (f"p{2 * n + 3}", GOAL)]
     arcs = [("p1", "t1"), ("t2", f"p{n + 2}")]
     for i in range(2, n + 2):
         arcs += [("t1", f"p{i}"), (f"p{i}", "t2"),
@@ -314,25 +248,15 @@ def selection(services, choice: int = 0) -> WebService:
         inscriptions.append((("t1", f"p{i}"), (r,)))
         inscriptions.append(((f"p{i}", "t2"), (resp,)))
         inscriptions.append(((f"p{n + 2}", f"t{i + 1}"), (j,)))
-    conditions = tuple(
-        (f"t{i}", guards.Compare(j, "==", guards.Lit(i - 2)))
-        for i in range(3, n + 3))
-    actions = (("t2", (guards.Assign("J", guards.Lit(choice + 1)),)),)
-
-    struct = InternalStructure(
-        places=tuple(places),
-        transitions=tuple(f"t{i}" for i in range(1, 2 * n + 3)),
-        arcs=tuple(arcs),
-        inscriptions=tuple(inscriptions),
-        conditions=conditions,
-        actions=actions,
-        labels=tuple(labels),
-    )
     return _composite(
-        "Select", "choose and run one operand", services, struct,
-        f"p{2 * n + 3}", params=(("r", "request"),),
+        "Select", "choose and run one operand", services, nodes, arcs,
+        params=(("r", "request"),),
         attributes=(AttributeSpec("J", "int", initial=0),
-                    AttributeSpec("r", "string", initial="")))
+                    AttributeSpec("r", "string", initial="")),
+        inscriptions=tuple(inscriptions),
+        conditions=tuple((f"t{i}", guards.Compare(j, "==", guards.Lit(i - 2)))
+                         for i in range(3, n + 3)),
+        actions=(("t2", (guards.Assign("J", guards.Lit(choice + 1)),)),))
 
 
 def _block_component_services(block: BlockFragment):
@@ -388,8 +312,8 @@ def replace_service(s: WebService, s1: WebService, s2: WebService) -> WebService
     if not (s1.component_services <= s.component_services):
         return s
 
-    old_main = main_method_name(s1)
-    new_main = main_method_name(s2)
+    old_main = main_method(s1).name
+    new_main = main_method(s2).name
 
     def map_method(m):
         return new_main if m == old_main else m

@@ -92,14 +92,8 @@ def _rename_variables(struct: InternalStructure, mapping: dict):
 
 def _invoked_subnet(svc: WebService, method_name: str, rn, attrs):
     """The renamed subnet of the method an ISP invokes, its entry and exits,
-    and the host attributes `attrs` extended by the service's own.  The
-    empty service performs no operation: its one place is both entry and
-    exit."""
-    if algebra.is_empty_service(svc):
-        sub = svc.net.internal.renamed(rn)
-        return sub, sub.places[0].id, (sub.places[0].id,), attrs
-    method, sub = restrict_to_method(
-        svc, algebra.invoked_method(svc, method_name).name)
+    and the host attributes `attrs` extended by the service's own."""
+    method, sub = restrict_to_method(svc, method_name)
 
     # avoid attribute-name capture between host and spliced subnet
     host_attrs = {a.name for a in attrs}
@@ -465,7 +459,6 @@ def flat_successors(flat: FlatNet, marking: frozenset):
 
 
 def reachability(flat: FlatNet, max_states: int = 100000,
-                 max_tokens_per_place: int = None,
                  initial: dict = None) -> StateGraph:
     """Breadth-first exhaustive exploration of frozen markings."""
     if max_states <= 0:
@@ -482,10 +475,6 @@ def reachability(flat: FlatNet, max_states: int = 100000,
     while queue:
         state = queue.popleft()
         for tname, binding, succ in flat_successors(flat, state):
-            if max_tokens_per_place is not None and any(
-                    len(toks) > max_tokens_per_place for _, toks in succ):
-                graph.truncated = True
-                continue
             if succ not in graph.out:
                 if len(graph.out) >= max_states:
                     graph.truncated = True

@@ -93,9 +93,5 @@ class UnflattenableIsp(GnetError):
     pass
 
 
-class UndeclaredPlaceReference(GnetError):
-    pass
-
-
 class InvalidModel(GnetError):
     """A model that `validate` rejects; the message is its report."""

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, replace
 from itertools import product
 
-from . import algebra, guards
+from . import guards
 from .errors import (ArityMismatch, DepthLimitExceeded, NotEnabled,
                      SubnetDeadlock, UnboundFreeVariable, UnknownMethod,
                      UnknownService)
@@ -274,10 +274,9 @@ def invoke_isp(state: SimState, pid: str, token: Token):
     if state.registry is None:
         raise UnknownService(place.invoked_gnet)
     svc = state.registry.lookup(place.invoked_gnet)
-    if algebra.is_empty_service(svc):
-        # the empty service performs no operation: the call returns at once
-        return token, ()
-    method = algebra.invoked_method(svc, place.using_method)
+    method = svc.net.gsp.method(place.using_method)
+    if method is None:
+        raise UnknownMethod(svc.name, place.using_method)
 
     fields = token.field_map()
     args = []

@@ -37,7 +37,10 @@ class TestConstructors:
     def test_empty(self):
         ws = algebra.empty_service()
         assert counts(ws) == (1, 0, 0)
-        assert not ws.net.gsp.methods
+        (method,) = ws.net.gsp.methods
+        assert (method.name, method.params) == ("Empty", ())
+        assert method.init_place == "p1"
+        assert method.goal_places == frozenset({"p1"})
         assert ws.component_services == frozenset({"Empty"})
         assert validate(ws).ok
 

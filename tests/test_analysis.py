@@ -447,6 +447,30 @@ class TestTraceEquivalence:
         assert flat_words == self.sim_language(ws, method, args)
 
 
+class TestFlatDiscriminator:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: B rides on each racer's token as a copy of the "
+        "value t1 set, so a late racer still passes B == true at t4"))
+    def test_continuation_activated_once(self):
+        """The flat-engine twin of acceptance criterion 4."""
+        reg = test_acceptance.make_registry()
+        _, flat = test_acceptance.inline_flat("disc(a, b; c)", reg)
+        graph = analysis.reachability(flat)
+        seen = {(graph.initial, 0)}
+        queue = deque(seen)
+        while queue:
+            node, fired = queue.popleft()
+            for idx in graph.out[node]:
+                _, label, _, dst = graph.edges[idx]
+                nxt = (dst, fired + (label == "t4"))
+                assert nxt[1] <= 1, "continuation activated twice on one path"
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        # t6 routes a late racer to the goal
+        assert any(label == "t6" for _, label, _, _ in graph.edges)
+
+
 class TestExploreService:
     def test_rejects_isps(self):
         reg = make_registry()

@@ -250,3 +250,18 @@ class TestExport:
         with pytest.raises(SystemExit) as exc:
             main(["export", str(book_order_path), "--format", "pdf"])
         assert exc.value.code == 2
+
+
+class TestEmptyService:
+    @pytest.mark.parametrize("command, expected", [
+        (["analyze"], "goalReachable: True"),
+        (["simulate"], "outcome: Goal"),
+        (["export", "--format", "prod"], "#place p1f"),
+    ])
+    def test_composed_empty_exit_0(self, tmp_path, capsys, command, expected):
+        out = tmp_path / "empty.json"
+        assert main(["compose", str(compose_file(tmp_path, "empty")),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command[0], str(out), *command[1:]]) == 0
+        assert expected in capsys.readouterr().out

@@ -32,9 +32,11 @@ class TestInit:
         state = sim.init_state(book_order_service(), "Command", (7,))
         assert state.marking_map()["P1"][0].field_map() == {"seq": 7}
 
-    def test_empty_service_has_no_methods(self):
-        with pytest.raises(UnknownMethod):
-            sim.init_state(algebra.empty_service(), "main", ())
+    def test_empty_service_runs_to_goal(self):
+        state = sim.init_state(algebra.empty_service(), "Empty", ())
+        state, outcome = sim.run(state)
+        assert outcome == sim.GOAL
+        assert state.trace == ()
 
 
 class TestEnablingAndFiring:
