@@ -373,11 +373,53 @@ class _SuccessorPlan:
     """What `flat_successors` needs of a flat net, computed once per
     transition list.  A transition whose first input place is unmarked
     cannot fire, so a marking tries only the transitions indexed under its
-    places, and those with no input."""
+    places, and those with no input.  Each transition is compiled into a
+    firing kernel, a tuple of
+        transition, rank   the transition and its natural-order rank;
+        zipped             True when it has one input with distinct pattern
+                           variables and no free variable: it binds by
+                           zipping the pattern with each token;
+        free               its free variables, sorted, for the other path;
+        gate               None when the gate is the literal `true`;
+        outputs            per output place, (place, maker): a maker takes
+                           a binding to the token it puts;
+        order, values      the sorted variable names of a binding, and a
+                           reader of their values."""
     transitions: list  # the FlatNet.transitions the plan was built from
-    steps: tuple  # per transition: (transition, free variables, rank)
+    kernels: tuple  # per transition, its firing kernel
     by_first_input: dict  # place -> indexes of the transitions it heads
     no_input: tuple  # indexes of the transitions with no input
+
+
+def _reader(names):
+    """A function from a binding to the tuple of its values of `names`."""
+    if not names:
+        return _no_values
+    if len(names) == 1:
+        name, = names
+        return lambda env: (env[name],)
+    return itemgetter(*names)
+
+
+def _no_values(env):
+    return ()
+
+
+def _output_maker(exprs):
+    """A function from a binding to the token `exprs` put: an all-variable
+    tuple is read off the binding, any other is evaluated by `eval_expr`."""
+    names = [e.name for e in exprs if type(e) is guards.Var]
+    if len(names) == len(exprs):
+        return _reader(names)
+    return lambda env: tuple(guards.eval_expr(e, env) for e in exprs)
+
+
+def _is_true(gate) -> bool:
+    """Whether `gate` is the literal `true`.  `Atom(Lit(1))` equals
+    `guards.TRUE` as a dataclass but fails to evaluate, so the value's
+    type is tested."""
+    return (type(gate) is guards.Atom and type(gate.expr) is guards.Lit
+            and gate.expr.value is True)
 
 
 def _successor_plan(flat: FlatNet) -> _SuccessorPlan:
@@ -389,21 +431,50 @@ def _successor_plan(flat: FlatNet) -> _SuccessorPlan:
         return plan
     keys = [natural_key(t.name) for t in flat.transitions]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    steps, by_first_input, no_input = [], {}, []
+    kernels, by_first_input, no_input = [], {}, []
     for index, (t, key) in enumerate(zip(flat.transitions, keys)):
-        needed = set(guards.condition_vars(t.gate))
+        gate = None if _is_true(t.gate) else t.gate
+        needed = set() if gate is None else guards.condition_vars(gate)
         for _, exprs in t.outputs:
             for e in exprs:
                 needed |= guards.expr_vars(e)
-        free = sorted(needed.difference(*(pattern for _, pattern in t.inputs)))
-        steps.append((t, free, rank[key]))
+        bound = {v for _, pattern in t.inputs for v in pattern}
+        free = sorted(needed - bound)
+        order = sorted(bound | needed)
+        zipped = (len(t.inputs) == 1 and not free
+                  and len(bound) == len(t.inputs[0][1]))
+        kernels.append((
+            t, rank[key], zipped, free, gate,
+            [(p, _output_maker(exprs)) for p, exprs in t.outputs],
+            order, _reader(order)))
         if t.inputs:
             by_first_input.setdefault(t.inputs[0][0], []).append(index)
         else:
             no_input.append(index)
-    flat._plan = _SuccessorPlan(flat.transitions, tuple(steps),
+    flat._plan = _SuccessorPlan(flat.transitions, tuple(kernels),
                                 by_first_input, tuple(no_input))
     return flat._plan
+
+
+def _fire(kernel, marking, tokens, combo, env, results):
+    """Append to `results` the firing of `kernel` that consumes the token
+    at each (place, index) of `combo` under the binding `env`, if its gate
+    holds: its sort key, then its (name, binding, successor) triple."""
+    t, rank, _, _, gate, outputs, order, values = kernel
+    if gate is not None and not guards.eval_condition(gate, env):
+        return
+    # place -> its tokens after the firing
+    touched = {p: tokens[p][:i] + tokens[p][i + 1:] for p, i in combo}
+    for pname, make in outputs:
+        toks = touched.get(pname, tokens.get(pname, ()))
+        tok = make(env)
+        touched[pname] = (tuple(sorted(toks + (tok,), key=repr)) if toks
+                          else (tok,))
+    succ = marking.difference(
+        (p, tokens[p]) for p in touched if p in tokens).union(
+        (p, toks) for p, toks in touched.items() if toks)
+    pairs = tuple(zip(order, values(env)))
+    results.append((rank, repr(pairs), (t.name, pairs, succ)))
 
 
 def flat_successors(flat: FlatNet, marking: frozenset):
@@ -411,7 +482,10 @@ def flat_successors(flat: FlatNet, marking: frozenset):
     marking, ordered by the transition's natural-order rank, then by the
     binding's repr; ties keep the transition list's order.  A successor is
     frozen too: it is built from the parent's token tuples, replacing those
-    of the places the firing touches."""
+    of the places the firing touches.  Each candidate transition runs its
+    plan's firing kernel: a one-input transition with distinct pattern
+    variables and no free variable binds each token by zip; any other
+    binds every combination of input tokens and free-variable values."""
     plan = _successor_plan(flat)
     tokens = dict(marking)
     candidates = set(plan.no_input)
@@ -419,14 +493,25 @@ def flat_successors(flat: FlatNet, marking: frozenset):
         candidates.update(plan.by_first_input.get(pname, ()))
     results = []
     for index in sorted(candidates):
-        t, free, rank = plan.steps[index]
+        kernel = plan.kernels[index]
+        t, _, zipped, free = kernel[:4]
+        if zipped:
+            (pname, pattern), = t.inputs
+            toks = tokens[pname]
+            for i, tok in enumerate(toks):
+                # tokens are sorted by repr: skip repeats of the one before
+                if len(tok) != len(pattern) or (
+                        i and repr(tok) == repr(toks[i - 1])):
+                    continue
+                _fire(kernel, marking, tokens, ((pname, i),),
+                      dict(zip(pattern, tok)), results)
+            continue
         pools = []
         for pname, pattern in t.inputs:
             toks = tokens.get(pname)
             if not toks:
                 pools = None
                 break
-            # tokens are sorted by repr: skip repeats of the one before
             pools.append([(pname, i) for i in range(len(toks)) if i == 0
                           or repr(toks[i]) != repr(toks[i - 1])])
         if pools is None:
@@ -439,21 +524,8 @@ def flat_successors(flat: FlatNet, marking: frozenset):
                 if name not in flat.domains:
                     raise UnboundFreeVariable(name)
             for values in product(*(flat.domains[name] for name in free)):
-                full = {**binding, **dict(zip(free, values))}
-                if not guards.eval_condition(t.gate, full):
-                    continue
-                # place -> its tokens after the firing
-                touched = {p: tokens[p][:i] + tokens[p][i + 1:]
-                           for p, i in combo}
-                for pname, exprs in t.outputs:
-                    tok = tuple(guards.eval_expr(e, full) for e in exprs)
-                    toks = touched.get(pname, tokens.get(pname, ()))
-                    touched[pname] = tuple(sorted(toks + (tok,), key=repr))
-                succ = marking.difference(
-                    (p, tokens[p]) for p in touched if p in tokens).union(
-                    (p, toks) for p, toks in touched.items() if toks)
-                pairs = tuple(sorted(full.items()))
-                results.append((rank, repr(pairs), (t.name, pairs, succ)))
+                _fire(kernel, marking, tokens, combo,
+                      {**binding, **dict(zip(free, values))}, results)
     results.sort(key=itemgetter(0, 1))
     return [triple for _, _, triple in results]
 

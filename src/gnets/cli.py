@@ -109,11 +109,16 @@ def cmd_simulate(args):
     return EXIT_SEMANTIC
 
 
-def _flatten_model(ws, reg, args):
+def _flatten_model(ws, reg, args, structural=False):
+    """Inline and flatten the main method, called with --args, one value
+    per parameter.  `structural`: no --args at all leaves the parameters
+    unresolved."""
     reg.insert(ws)
     inlined = analysis.inline_isps(ws, reg, depth_limit=args.depth_limit)
     method = algebra.main_method(inlined.service)
-    values = [_parse_cli_value(a) for a in getattr(args, "args", [])]
+    values = [_parse_cli_value(a) for a in args.args]
+    if values or not structural:
+        sim.check_arity(inlined.service, method, values)
     call_args = {name: value
                  for (name, _), value in zip(method.params, values)}
     flat = analysis.flatten(inlined.service, method.name, args=call_args)
@@ -152,7 +157,7 @@ def cmd_export(args):
         _write_out(args, prod.export_dot(ws))
         return EXIT_OK
     reg = _registry(args)
-    _, _, flat = _flatten_model(ws, reg, args)
+    _, _, flat = _flatten_model(ws, reg, args, structural=True)
     # markings with still-unresolved fields are structural only: omit them
     flat.initial = {
         p: toks for p, toks in flat.initial.items()

@@ -68,16 +68,22 @@ def _freeze_env(env: dict) -> tuple:
     return tuple(sorted(env.items()))
 
 
+def check_arity(ws: WebService, method, args):
+    """Raise ArityMismatch unless `args` holds one value per parameter of
+    `method`, a method of `ws`."""
+    if len(args) != len(method.params):
+        raise ArityMismatch(
+            f"{ws.name}.{method.name} takes {len(method.params)} "
+            f"argument(s), got {len(args)}")
+
+
 def init_state(ws: WebService, method_name: str, args=(), registry=None,
                config: SimConfig = None, depth: int = 0) -> SimState:
     config = config or SimConfig()
     method = ws.net.gsp.method(method_name)
     if method is None:
         raise UnknownMethod(ws.name, method_name)
-    if len(args) != len(method.params):
-        raise ArityMismatch(
-            f"{ws.name}.{method_name} takes {len(method.params)} argument(s), "
-            f"got {len(args)}")
+    check_arity(ws, method, args)
     fields = {pname: value for (pname, _), value in zip(method.params, args)}
     init, token = method.init_place, Token.make(fields)
     env = {a.name: a.initial for a in ws.net.gsp.attributes

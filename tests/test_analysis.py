@@ -271,9 +271,12 @@ DOMAINS = {"d": (0, 1), "e": (True, 1)}
 VALUES = (0, 1, True, False)
 
 
-EXPRS = st.one_of(
+LEAF_EXPRS = st.one_of(
     st.sampled_from(VALUES).map(guards.Lit),
     st.sampled_from(PATTERN_VARS + tuple(DOMAINS)).map(guards.Var))
+# arithmetic on a bool raises TypeMismatch
+EXPRS = st.one_of(LEAF_EXPRS, st.builds(
+    guards.BinOp, st.sampled_from("+-*"), LEAF_EXPRS, LEAF_EXPRS))
 
 
 def flat_transition(name, inputs, outputs, gate):
@@ -288,21 +291,35 @@ def flat_transition(name, inputs, outputs, gate):
         guards.subst_condition(gate, free))
 
 
+# patterns and tokens of every width from the black `()` up, a repeated
+# variable such as (x, x) included
+PATTERNS = st.one_of(
+    st.lists(st.sampled_from(PATTERN_VARS), max_size=2).map(tuple),
+    st.sampled_from(PATTERN_VARS).map(lambda v: (v, v)))
 flat_transitions = st.builds(
     flat_transition,
     st.sampled_from(NAMES),
+    st.lists(st.tuples(st.sampled_from(PLACES), PATTERNS),
+             max_size=3).map(tuple),
     st.lists(st.tuples(
         st.sampled_from(PLACES),
-        st.lists(st.sampled_from(PATTERN_VARS), min_size=1, max_size=2)
-        .map(tuple)), max_size=3).map(tuple),
-    st.lists(st.tuples(
-        st.sampled_from(PLACES),
-        st.lists(EXPRS, min_size=1, max_size=2).map(tuple)),
+        st.lists(EXPRS, max_size=2).map(tuple)),
         max_size=2).map(tuple),
+    # Atom(Lit(1)) equals guards.TRUE but raises TypeMismatch
     st.one_of(st.just(guards.TRUE), st.just(guards.TRUE),
+              st.just(guards.Atom(guards.Lit(1))),
+              st.builds(guards.Atom, EXPRS),
               st.builds(guards.Compare, EXPRS,
                         st.sampled_from(("==", "!=")), EXPRS)))
-TOKENS = st.lists(st.sampled_from(VALUES), min_size=1, max_size=2).map(tuple)
+# the shape of most flattened transitions: one input, a `true` gate and
+# outputs that copy the input's pattern
+copy_transitions = st.builds(
+    lambda name, place, pattern, targets: analysis.FlatTransition(
+        name, ((place, pattern),),
+        tuple((q, tuple(map(guards.Var, pattern))) for q in targets)),
+    st.sampled_from(NAMES), st.sampled_from(PLACES), PATTERNS,
+    st.lists(st.sampled_from(PLACES), max_size=2))
+TOKENS = st.lists(st.sampled_from(VALUES), max_size=2).map(tuple)
 
 
 def outcome(successors, flat, marking):
@@ -335,24 +352,29 @@ def graphs(flat):
 
 class TestCompiledEngine:
     """`flat_successors` tries only the transitions whose first input place
-    is marked, from a plan compiled once per transition list; its results
-    must equal a full scan's, order included."""
+    is marked, and fires each through the kernel its plan compiled once per
+    transition list; its results must equal a full scan's, order
+    included."""
 
-    @given(st.lists(flat_transitions, min_size=2, max_size=6),
+    @given(st.lists(st.one_of(flat_transitions, copy_transitions),
+                    min_size=2, max_size=6),
            st.dictionaries(st.sampled_from(PLACES),
                            st.lists(TOKENS, min_size=1, max_size=3),
                            min_size=2))
     @settings(max_examples=200, deadline=None)
     def test_equals_full_scan(self, transitions, initial):
-        flat = analysis.FlatNet(places={}, transitions=transitions,
-                                initial=initial, domains=DOMAINS)
+        # each transition alone too: one that raises hides the others
         marking = freeze_marking(initial)
-        expected = outcome(full_scan_successors, flat, marking)
-        assert outcome(analysis.flat_successors, flat, marking) == expected
-        if isinstance(expected, list):  # the plan is built by now
-            for _, _, succ in expected:
-                assert (outcome(analysis.flat_successors, flat, succ)
-                        == outcome(full_scan_successors, flat, succ))
+        for net in [transitions, *([t] for t in transitions)]:
+            flat = analysis.FlatNet(places={}, transitions=net,
+                                    initial=initial, domains=DOMAINS)
+            expected = outcome(full_scan_successors, flat, marking)
+            assert outcome(analysis.flat_successors, flat, marking) \
+                == expected
+            if isinstance(expected, list):  # the plan is built by now
+                for _, _, succ in expected:
+                    assert (outcome(analysis.flat_successors, flat, succ)
+                            == outcome(full_scan_successors, flat, succ))
 
     def test_unmarked_preset_leaves_unbound_variable_unread(self):
         graph = analysis.reachability(chain_net({"s": [(0,)]}))
@@ -388,6 +410,56 @@ class TestCompiledEngine:
         text, twin = repr(flat), book_order_flat()
         graphs(flat)
         assert repr(flat) == text and flat == twin
+
+
+def composed_net(term):
+    """The flattened inlined composition `term` over the acceptance
+    registry's leaves a-d and block B, with its initial markings."""
+    reg = test_acceptance.make_registry()
+    flat = analysis.flatten(
+        analysis.inline_isps(compose(term, reg), reg).service)
+    return flat, flat.initial_markings()
+
+
+def reparsed_book_order():
+    """Book-order (seq=1) through PROD text and back, with the original's
+    initial markings: the text carries no unresolved token."""
+    flat = book_order_flat()
+    back = prod.reparse_prod(prod.export_prod(
+        dataclasses.replace(flat, initial={})))
+    return back, flat.initial_markings()
+
+
+# name -> (flat net, initial markings)
+COMPOSED_NETS = {
+    "par4": lambda: composed_net("par(par(a, b), par(c, d))"),
+    "anyseq4": lambda: composed_net("anyseq(anyseq(a, b), anyseq(c, d))"),
+    "disc3": lambda: composed_net("disc(a, b, c; d)"),
+    "book_order": lambda: (book_order_flat(),
+                           book_order_flat().initial_markings()),
+    "refine": lambda: composed_net('seq(refine(a, "op-a", B), alt(b, c))'),
+    "reparsed": reparsed_book_order,
+}
+
+
+class TestKernelsAgainstFullScan:
+    """On composed nets, whose copy transitions and black tokens are the
+    shapes the firing kernels specialise, `reachability` gives the same
+    edges in the same order, and the same truncation, as with
+    `full_scan_successors` in place of `flat_successors`."""
+
+    @pytest.mark.parametrize("name", COMPOSED_NETS)
+    def test_same_graph(self, name, monkeypatch):
+        flat, initials = COMPOSED_NETS[name]()
+        for initial in initials:
+            for cap in (60, 100000):
+                graph = analysis.reachability(flat, cap, initial)
+                with monkeypatch.context() as patch:
+                    patch.setattr(analysis, "flat_successors",
+                                  full_scan_successors)
+                    scanned = analysis.reachability(flat, cap, initial)
+                assert graph.edges == scanned.edges
+                assert graph.truncated == scanned.truncated
 
 
 class TestOracleAgreement:

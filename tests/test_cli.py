@@ -29,6 +29,17 @@ def book_order_path(tmp_path):
 
 
 @pytest.fixture
+def two_param_path(tmp_path):
+    """Book-order whose method takes a second, unused parameter."""
+    d = io.service_to_dict(book_order_service())
+    d["net"]["gsp"]["methods"][0]["params"].append(
+        {"name": "copies", "description": "copies ordered"})
+    path = tmp_path / "two-param.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
+@pytest.fixture
 def doubled_arc_path(tmp_path):
     d = io.service_to_dict(book_order_service())
     d["net"]["is"]["arcs"].append(["P1", "T1"])
@@ -229,6 +240,33 @@ class TestAnalyze:
                      "--max-states", "0"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestArity:
+    """analyze and export take --args as simulate does: one value per
+    parameter of the main method.  export with no --args at all writes
+    the structural net (TestExport.test_prod)."""
+
+    @pytest.mark.parametrize("command, model, values, message", [
+        (["simulate"], "book_order_path", ["1", "2"],
+         "takes 1 argument(s), got 2"),
+        (["analyze"], "book_order_path", ["1", "2"],
+         "takes 1 argument(s), got 2"),
+        (["analyze"], "book_order_path", [], "takes 1 argument(s), got 0"),
+        (["export", "--format", "prod"], "book_order_path", ["1", "2"],
+         "takes 1 argument(s), got 2"),
+        (["analyze"], "two_param_path", ["1"], "takes 2 argument(s), got 1"),
+        (["export", "--format", "prod"], "two_param_path", ["1"],
+         "takes 2 argument(s), got 1"),
+    ])
+    def test_wrong_count_exit_1(self, command, model, values, message,
+                                request, capsys):
+        path = request.getfixturevalue(model)
+        argv = [command[0], str(path), *command[1:], "--args", *values]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: Book-Order.Command {message}\n"
+        assert captured.out == ""
 
 
 class TestExport:
