@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import algebra, analysis, dsl, guards, io, prod, sim
-from .errors import GnetError, InvalidModel, ParseError
+from .errors import GnetError, InvalidModel, ParseError, SubnetDeadlock
 from .model import Registry, validate
 
 EXIT_OK = 0
@@ -94,8 +94,15 @@ def cmd_simulate(args):
                            max_steps=args.max_steps)
     method = _resolve_method(ws, args.method)
     call_args = [_parse_cli_value(a) for a in args.args]
-    state = sim.init_state(ws, method, call_args, registry=reg, config=config)
-    state, outcome = sim.run(state)
+    try:
+        state = sim.init_state(ws, method, call_args, registry=reg,
+                               config=config)
+        state, outcome = sim.run(state)
+    except SubnetDeadlock as exc:
+        # the failed call's partial trace follows its error line
+        print("\n".join([f"error: {exc}"] + sim.format_trace(exc)),
+              file=sys.stderr)
+        return EXIT_SEMANTIC
     if args.json:
         _write_out(args, json.dumps(io.trace_to_dict(outcome, state.trace),
                                     indent=2) + "\n")

@@ -80,7 +80,15 @@ class DepthLimitExceeded(GnetError):
 
 
 class SubnetDeadlock(GnetError):
-    pass
+    """An invoked method that stopped short of its goal: its `outcome`
+    (Deadlock or StepLimit), the firing events of its partial `trace` and
+    its final frozen `marking`."""
+
+    def __init__(self, message, outcome=None, trace=(), marking=frozenset()):
+        super().__init__(message)
+        self.outcome = outcome
+        self.trace = trace
+        self.marking = marking
 
 
 class UnboundFreeVariable(GnetError):

@@ -5,7 +5,15 @@ States are values; every step function returns a new state.  A token is its
 fields.  Putting a token on an ISP place runs the invoked method to
 completion inside the same step (`init_state` or `fire`): the place receives
 the token the call returns, and the call's events follow the event of the
-firing that put the token.
+firing that put the token.  A call that stops short of its goal raises
+`SubnetDeadlock` with its outcome, partial trace and final marking.
+
+The first `enabled` or `fire` on a structure compiles it into a plan kept on
+the structure (`_Plan`): what each transition reads and writes, and an index
+from each place to the transitions whose first preset place it is, so a
+state tries only the transitions its marked places head.  The plan holds
+nothing of the service's interface (domains, attributes, goals), which
+services sharing a structure may declare differently.
 """
 
 from __future__ import annotations
@@ -100,23 +108,96 @@ def init_state(ws: WebService, method_name: str, args=(), registry=None,
     return state
 
 
+# --- The plan --------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Step:
+    """What the token game reads of one transition, computed once per
+    structure:
+        inputs     per preset place, in natural order: (place, the names
+                   of its input pattern);
+        needed     sorted: every variable its guard, actions, output
+                   inscriptions and input patterns read;
+        outputs    per post place, in natural order: (place, its (field
+                   name, expression) pairs, or None for a copy of the
+                   consumed fields, whether it is an ISP place)."""
+    tid: str
+    inputs: tuple
+    condition: object  # the guard, or None
+    actions: tuple
+    needed: tuple
+    outputs: tuple
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The token game's view of a structure.  A transition whose first
+    preset place is unmarked cannot fire, so a marking tries only the
+    transitions indexed under its places, and those with no preset."""
+    steps: tuple  # per transition of the list, its _Step
+    by_tid: dict  # transition -> its _Step
+    by_first_input: dict  # place -> indexes of the steps it heads
+    no_input: list  # indexes of the steps with no preset place
+
+
+def _compile(struct) -> _Plan:
+    ins_map, place_map = struct.inscription_map, struct.place_map
+    steps, by_first_input, no_input = [], {}, []
+    for index, tid in enumerate(struct.transitions):
+        inputs = tuple((pid, tuple(e.name for e in ins_map.get((pid, tid))
+                                   or ()))
+                       for pid in struct.pre(tid))
+        cond = struct.condition_map.get(tid)
+        actions = struct.action_map.get(tid, ())
+        needed = guards.action_vars(actions)
+        if cond is not None:
+            needed |= guards.condition_vars(cond)
+        outputs = []
+        for q in struct.post(tid):
+            ins = ins_map.get((tid, q))
+            for expr in ins or ():
+                needed |= guards.expr_vars(expr)
+            fields = tuple(
+                (expr.name if isinstance(expr, guards.Var) else f"_{i + 1}",
+                 expr) for i, expr in enumerate(ins)) if ins else None
+            outputs.append((q, fields, place_map[q].kind is PlaceKind.ISP))
+        for _, names in inputs:
+            needed.update(names)
+        steps.append(_Step(tid, inputs, cond, actions,
+                           tuple(sorted(needed)), tuple(outputs)))
+        if inputs:
+            by_first_input.setdefault(inputs[0][0], []).append(index)
+        else:
+            no_input.append(index)
+    return _Plan(tuple(steps), {s.tid: s for s in steps}, by_first_input,
+                 no_input)
+
+
+def _plan(struct) -> _Plan:
+    """The plan of `struct`, built by the first `enabled` or `fire` on it
+    and kept on the instance, as its cached views are."""
+    plan = struct.__dict__.get("_token_game_plan")
+    if plan is None:
+        plan = struct.__dict__["_token_game_plan"] = _compile(struct)
+    return plan
+
+
 # --- Enabling --------------------------------------------------------------
 
-def _match_pattern(pattern, token, binding, env):
-    """Bind the pattern variables of one input arc against a token.  Returns
-    the extended binding or None on conflict.  A variable resolves from the
-    token's like-named field, then from the frame env, then positionally;
-    anything still unresolved is handled by the domain fallback later."""
-    fields = token.field_map()
-    values = [v for _, v in token.fields]
+def _match_pattern(names, token, binding, env):
+    """Bind the pattern variables `names` of one input arc against a token.
+    Returns the extended binding or None on conflict.  A variable resolves
+    from the token's like-named field, then from the frame env, then
+    positionally; anything still unresolved is handled by the domain
+    fallback later."""
+    fields = dict(token.fields)
     out = dict(binding)
-    positional_ok = len(pattern) == len(token.fields)
-    for i, expr in enumerate(pattern):
-        name = expr.name  # patterns are all-variable by validation
+    positional_ok = len(names) == len(token.fields)
+    for i, name in enumerate(names):
         if name in fields:
             value = fields[name]
         elif positional_ok and name not in out and name not in env:
-            value = values[i]
+            value = token.fields[i][1]
         else:
             continue  # resolved from the frame env or a domain later
         if name in out and out[name] != value:
@@ -125,98 +206,96 @@ def _match_pattern(pattern, token, binding, env):
     return out
 
 
-def _needed_vars(struct, tid):
-    needed = set()
-    cond = struct.condition_map.get(tid)
-    if cond is not None:
-        needed |= guards.condition_vars(cond)
-    needed |= guards.action_vars(struct.action_map.get(tid, ()))
-    for q in struct.post(tid):
-        for expr in struct.inscription_map.get((tid, q), ()):
-            needed |= guards.expr_vars(expr)
-    return needed
-
-
-def _bindings(state: SimState, tid: str):
-    """Yield the (binding, token combo) pairs that make `tid` fireable in
-    the current marking, in enumeration order."""
-    struct = state.ws.net.internal
-    marking = state.marking_map()
-    env = state.env_map()
-    ins_map = struct.inscription_map
+def _bindings(step: _Step, marking: dict, env: dict, gsp):
+    """Yield the (binding, combination) pairs that make `step`'s transition
+    fireable in `marking` (place -> tokens) under the frame `env`, in
+    enumeration order.  A combination holds one (index, token) pair per
+    preset place."""
     pools = []
-    for pid in struct.pre(tid):
+    for pid, _ in step.inputs:
         toks = marking.get(pid)
         if not toks:
             return
-        pools.append([(pid, t) for t in toks])
-    cond = struct.condition_map.get(tid)
+        pools.append(tuple(enumerate(toks)))
+    cond = step.condition
     for combo in product(*pools):
         binding = {}
-        for pid, token in combo:
-            pattern = ins_map.get((pid, tid))
-            if pattern:
-                binding = _match_pattern(pattern, token, binding, env)
+        for (_, names), (_, token) in zip(step.inputs, combo):
+            if names:
+                binding = _match_pattern(names, token, binding, env)
                 if binding is None:
                     break
         if binding is None:
             continue
         # remaining variables resolve from consumed token fields, the
         # frame env, then declared domains
-        merged_fields = {}
-        for _, token in combo:
-            merged_fields.update(token.field_map())
-        pattern_vars = set()
-        for pid, _ in combo:
-            for expr in ins_map.get((pid, tid), ()):
-                pattern_vars.add(expr.name)
-        needed = (_needed_vars(struct, tid) | pattern_vars)
-        enum_vars = []
-        for name in sorted(needed):
+        merged, enum_vars = None, []
+        for name in step.needed:
             if name in binding or name in env:
                 continue
-            if name in merged_fields:
-                binding[name] = merged_fields[name]
+            if merged is None:
+                merged = {}
+                for _, token in combo:
+                    merged.update(token.fields)
+            if name in merged:
+                binding[name] = merged[name]
                 continue
-            domain = state.ws.net.gsp.domain(name)
+            domain = gsp.domain(name)
             if domain is None:
                 raise UnboundFreeVariable(name)
             enum_vars.append((name, domain))
         for values in product(*(d for _, d in enum_vars)):
             full = dict(binding)
-            full.update({n: v for (n, _), v in zip(enum_vars, values)})
-            scope = {**env, **full}
-            if cond is not None and not guards.eval_condition(cond, scope):
+            full.update((n, v) for (n, _), v in zip(enum_vars, values))
+            if cond is not None and not guards.eval_condition(
+                    cond, {**env, **full}):
                 continue
             yield full, combo
 
 
 def enabled(state: SimState):
-    """The (transition, binding) pairs fireable in the current marking."""
-    results = [(tid, binding) for tid in state.ws.net.internal.transitions
-               for binding, _ in _bindings(state, tid)]
-    results.sort(key=lambda r: (natural_key(r[0]), sorted(r[1].items(),
-                                                          key=repr)))
+    """The (transition, binding) pairs fireable in the current marking,
+    ordered by transition name in natural order, then by binding."""
+    plan = _plan(state.ws.net.internal)
+    marking, env, gsp = dict(state.marking), dict(state.env), state.ws.net.gsp
+    candidates = list(plan.no_input)
+    for pid in marking:
+        candidates += plan.by_first_input.get(pid, ())
+    results = []
+    for index in sorted(candidates):
+        step = plan.steps[index]
+        results += [(step.tid, binding)
+                    for binding, _ in _bindings(step, marking, env, gsp)]
+    if len(results) > 1:
+        results.sort(key=lambda r: (natural_key(r[0]),
+                                    sorted(r[1].items(), key=repr)))
     return results
 
 
 # --- Firing ----------------------------------------------------------------
 
+def _same_binding(found: dict, wanted: dict) -> bool:
+    """Equal names and values of equal types: the int 1 and the bool True
+    are different values."""
+    return found == wanted and all(type(v) is type(wanted[k])
+                                   for k, v in found.items())
+
+
 def fire(state: SimState, tid: str, binding: dict) -> SimState:
-    struct = state.ws.net.internal
     wanted = dict(binding)
+    step = _plan(state.ws.net.internal).by_tid.get(tid)
+    marking, env, gsp = dict(state.marking), dict(state.env), state.ws.net.gsp
     found = None
-    if tid in struct.transitions:
-        found = next((pair for pair in _bindings(state, tid)
-                      if pair[0] == wanted), None)
+    if step is not None:
+        found = next((pair for pair in _bindings(step, marking, env, gsp)
+                      if _same_binding(pair[0], wanted)), None)
     if found is None:
         raise NotEnabled(f"{tid} with binding {wanted!r}")
     binding, combo = found
 
-    env = state.env_map()
-    attrs = {a.name for a in state.ws.net.gsp.attributes}
+    attrs = {a.name for a in gsp.attributes}
     scope = {**env, **binding}
-    actions = struct.action_map.get(tid, ())
+    actions = step.actions
     for assign in actions:
         if assign.target not in attrs and assign.target not in scope:
             raise guards.UnboundVariable(assign.target)
@@ -227,43 +306,33 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
         if name in scope2 and (name in new_env or name in assigned):
             new_env[name] = scope2[name]
 
-    marking = {pid: list(toks) for pid, toks in state.marking}
-    consumed_log = []
-    for pid, token in combo:
-        marking[pid].remove(token)
+    consumed_log, merged = [], {}
+    for (pid, _), (i, token) in zip(step.inputs, combo):
+        toks = marking[pid]
+        marking[pid] = toks[:i] + toks[i + 1:]
         consumed_log.append((pid, token.fields))
-
-    ins_map = struct.inscription_map
-    place_map = struct.place_map
-    produced_log = []
-    calls = ()
-    merged = {}
-    for _, token in combo:
-        merged.update(token.field_map())
+        merged.update(token.fields)
     for name in assigned:
         if name in merged:
             merged[name] = scope2[name]
-    for q in struct.post(tid):
-        ins = ins_map.get((tid, q))
-        if ins:
-            fields = {}
-            for i, expr in enumerate(ins):
-                name = expr.name if isinstance(expr, guards.Var) else f"_{i + 1}"
-                fields[name] = guards.eval_expr(expr, scope2)
-        else:
-            fields = dict(merged)
-        token = Token.make(fields)
+
+    produced_log = []
+    calls = ()
+    for q, fields, is_isp in step.outputs:
+        token = Token.make(dict(merged) if fields is None else {
+            name: guards.eval_expr(expr, scope2) for name, expr in fields})
         produced_log.append((q, token.fields))
-        if place_map[q].kind is PlaceKind.ISP:
+        if is_isp:
             token, events = invoke_isp(state, q, token)
             calls += events
-        marking.setdefault(q, []).append(token)
+        marking[q] = marking.get(q, ()) + (token,)
 
     event = FiringEvent(state.depth, tid, tuple(sorted(binding.items())),
                         tuple(consumed_log), tuple(produced_log))
-    return replace(state, marking=freeze_marking(marking, _fields_repr),
-                   env=_freeze_env(new_env),
-                   trace=state.trace + (event,) + calls)
+    return SimState(state.ws, state.method_name,
+                    freeze_marking(marking, _fields_repr),
+                    _freeze_env(new_env), state.trace + (event,) + calls,
+                    state.depth, state.registry, state.config)
 
 
 # --- ISP invocation --------------------------------------------------------
@@ -299,7 +368,7 @@ def invoke_isp(state: SimState, pid: str, token: Token):
     if outcome != GOAL:
         raise SubnetDeadlock(
             f"invoked method {svc.name}.{method.name} reached no goal "
-            f"({outcome})")
+            f"({outcome})", outcome, sub.trace, sub.marking)
 
     sub_marking = sub.marking_map()
     for g in sorted(method.goal_places, key=natural_key):
@@ -310,10 +379,8 @@ def invoke_isp(state: SimState, pid: str, token: Token):
 
 # --- Runs ------------------------------------------------------------------
 
-def _at_goal(state: SimState) -> bool:
-    method = state.ws.net.gsp.method(state.method_name)
-    marking = state.marking_map()
-    return any(g in marking for g in method.goal_places)
+def _at_goal(state: SimState, goals: frozenset) -> bool:
+    return any(pid in goals for pid, _ in state.marking)
 
 
 def run(state: SimState):
@@ -323,25 +390,28 @@ def run(state: SimState):
     config = state.config
     if config.max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    goals = state.ws.net.gsp.method(state.method_name).goal_places
     for step in range(config.max_steps):
-        if _at_goal(state):
+        if _at_goal(state, goals):
             return state, GOAL
         choices = enabled(state)
         if not choices:
             return state, DEADLOCK
-        if config.policy == "random":
+        # a generator would pick the only choice whatever its seed
+        if config.policy == "random" and len(choices) > 1:
             rng = random.Random(f"{config.seed}:{step}:{len(state.trace)}")
             tid, binding = rng.choice(choices)
         else:
             tid, binding = choices[0]
         state = fire(state, tid, binding)
-    if _at_goal(state):
+    if _at_goal(state, goals):
         return state, GOAL
     return state, STEP_LIMIT
 
 
 def format_trace(state: SimState):
-    """Line-oriented rendering of the recorded firing events."""
+    """Line-oriented rendering of the firing events recorded in
+    `state.trace`; a `SubnetDeadlock` carries such a trace too."""
     lines = []
     for ev in state.trace:
         binding = ", ".join(f"{k}={v!r}" for k, v in ev.binding)

@@ -133,3 +133,20 @@ def branching_bool_service():
     return WebService(name="Bool-Branch", desc="boolean branch",
                       component_services=frozenset({"Bool-Branch"}),
                       net=GNetModel(gsp, struct))
+
+
+def stuck_service():
+    """One step that fires, then a gate that never holds: a call to it
+    records the first firing and deadlocks."""
+    struct = InternalStructure(
+        places=(Place("p0"), Place("p1"), Place("p2", PlaceKind.GOAL)),
+        transitions=("t0", "t1"),
+        arcs=(("p0", "t0"), ("t0", "p1"), ("p1", "t1"), ("t1", "p2")),
+        conditions=(("t1", parse_condition("1 == 2")),),
+        labels=(("p0", OpLabel("start")), ("p1", OpLabel("never")),
+                ("p2", GOAL)),
+    )
+    method = MethodSpec("Stall", "", (), "p0", frozenset({"p2"}))
+    return WebService(name="Stuck", desc="stalls after one step",
+                      component_services=frozenset({"Stuck"}),
+                      net=GNetModel(GspSpec(methods=(method,)), struct))

@@ -5,7 +5,7 @@ from operator import getitem
 import pytest
 
 from fixtures import (book_order_service, gated_false_service,
-                      treat_command_block)
+                      stuck_service, treat_command_block)
 from gnets import algebra, io
 from gnets.cli import main
 
@@ -177,6 +177,18 @@ class TestSimulate:
         io.save_service(gated_false_service(), path)
         assert main(["simulate", str(path)]) == 1
         assert "outcome: Deadlock" in capsys.readouterr().out
+
+    def test_failed_call_prints_its_trace(self, tmp_path, registry_dir,
+                                          capsys):
+        io.save_service(stuck_service(), registry_dir / "stuck.json")
+        out = tmp_path / "stalls.json"
+        assert main(["compose", str(compose_file(tmp_path, "seq(Stuck, a)")),
+                     "--registry", str(registry_dir), "--out", str(out)]) == 0
+        assert main(["simulate", str(out), "--registry",
+                     str(registry_dir)]) == 1
+        assert capsys.readouterr().err == (
+            "error: invoked method Stuck.Stall reached no goal (Deadlock)\n"
+            "1 t0 [] -p0{} +p1{}\n")
 
     def test_step_limit_exit_3(self, tmp_path, registry_dir):
         term = compose_file(tmp_path, "iter(a)")

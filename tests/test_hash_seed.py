@@ -12,9 +12,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = """
 from gnets import algebra, analysis, dsl, sim
 from gnets.guards import Var
-from gnets.model import (GNetModel, GspSpec, InternalStructure, MethodSpec,
-                         Place, PlaceKind, Registry, WebService,
-                         freeze_marking, rename_apart)
+from gnets.model import (AttributeSpec, GNetModel, GspSpec,
+                         InternalStructure, MethodSpec, Place, PlaceKind,
+                         Registry, WebService, freeze_marking, rename_apart)
 
 reg = Registry()
 for name in ("a", "b", "c"):
@@ -63,6 +63,31 @@ ws = WebService("fork", net=GNetModel(
               ("p1", "t2"), ("t2", "p2")))))
 state = sim.init_state(ws, "Fork", registry=calls)
 print("\\n".join(sim.format_trace(sim.run(state)[0])))
+# t0 marks p001, p01 and p1, which tie under natural_key; t001, t01 and t1,
+# which tie too, are then enabled together: only the transition list orders
+# them
+race = WebService("race", net=GNetModel(
+    GspSpec((MethodSpec("Race", "", (), "p0", frozenset({"p2"})),),
+            (AttributeSpec("x", "bool"),)),
+    InternalStructure(
+        places=(Place("p0"), Place("p001"), Place("p01"), Place("p1"),
+                Place("p2", PlaceKind.GOAL)),
+        transitions=("t0", "t1", "t001", "t01"),
+        arcs=(("p0", "t0"), ("t0", "p001"), ("t0", "p01"), ("t0", "p1"),
+              ("p1", "t1"), ("p001", "t001"), ("p01", "t01"), ("t1", "p2"),
+              ("t001", "p2"), ("t01", "p2")),
+        inscriptions=((("t0", "p01"), (Var("x"),)),
+                      (("t0", "p1"), (Var("x"),)),
+                      (("p01", "t01"), (Var("x"),))))))
+state = sim.init_state(race, "Race")
+print(sim.enabled(state))
+state = sim.fire(state, *sim.enabled(state)[-1])
+print(sim.enabled(state))
+for policy, seed in (("det", 0), ("random", 1), ("random", 2),
+                     ("random", 3)):
+    state = sim.init_state(race, "Race",
+                           config=sim.SimConfig(policy=policy, seed=seed))
+    print("\\n".join(sim.format_trace(sim.run(state)[0])))
 """
 
 

@@ -1,11 +1,19 @@
+import dataclasses
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (book_order_service, branching_bool_service,
-                      gated_false_service)
-from gnets import algebra, dsl, sim
-from gnets.errors import (ArityMismatch, DepthLimitExceeded, NotEnabled,
-                          SubnetDeadlock, UnknownMethod)
-from gnets.model import Registry
+                      gated_false_service, stuck_service)
+from gnets import algebra, dsl, guards, sim
+from gnets.errors import (ArityMismatch, DepthLimitExceeded, GnetError,
+                          NotEnabled, SubnetDeadlock, UnboundFreeVariable,
+                          UnknownMethod)
+from gnets.model import (AttributeSpec, GNetModel, GspSpec, InternalStructure,
+                         MethodSpec, Place, Registry, Token, WebService,
+                         freeze_marking, natural_key)
 
 
 def make_registry():
@@ -188,6 +196,22 @@ class TestIspInvocation:
         with pytest.raises(SubnetDeadlock):
             sim.init_state(ws, "Seq", (), registry=reg)
 
+    @pytest.mark.parametrize("max_steps, outcome", [(100, sim.DEADLOCK),
+                                                    (1, sim.STEP_LIMIT)])
+    def test_subnet_deadlock_carries_the_call(self, max_steps, outcome):
+        reg = make_registry()
+        reg.insert(stuck_service())
+        ws = compose("seq(Stuck, a)", reg)
+        with pytest.raises(SubnetDeadlock) as info:
+            sim.init_state(ws, "Seq", (), registry=reg,
+                           config=sim.SimConfig(max_steps=max_steps))
+        failed = info.value
+        assert str(failed) == (f"invoked method Stuck.Stall reached no "
+                               f"goal ({outcome})")
+        assert failed.outcome == outcome
+        assert sim.format_trace(failed) == ["1 t0 [] -p0{} +p1{}"]
+        assert failed.marking == freeze_marking({"p1": [Token()]})
+
     def test_selection_routes_to_choice(self):
         reg = make_registry()
         ws = compose("select(a, b, c)", reg)
@@ -222,3 +246,335 @@ class TestIspInvocation:
         lines = sim.format_trace(final)
         assert len(lines) == len(final.trace)
         assert all(line.split()[1] for line in lines)
+
+
+# --- The compiled token game against a full scan -----------------------------
+
+def _full_scan_match(pattern, token, binding, env):
+    fields = token.field_map()
+    values = [v for _, v in token.fields]
+    out = dict(binding)
+    positional_ok = len(pattern) == len(token.fields)
+    for i, expr in enumerate(pattern):
+        name = expr.name
+        if name in fields:
+            value = fields[name]
+        elif positional_ok and name not in out and name not in env:
+            value = values[i]
+        else:
+            continue
+        if name in out and out[name] != value:
+            return None
+        out[name] = value
+    return out
+
+
+def _full_scan_needed(struct, tid):
+    needed = set()
+    cond = struct.condition_map.get(tid)
+    if cond is not None:
+        needed |= guards.condition_vars(cond)
+    needed |= guards.action_vars(struct.action_map.get(tid, ()))
+    for q in struct.post(tid):
+        for expr in struct.inscription_map.get((tid, q), ()):
+            needed |= guards.expr_vars(expr)
+    return needed
+
+
+def full_scan_bindings(state, tid):
+    """The reference enumerator: the structure's maps are read and the
+    needed variables recomputed for every token combination.  A combination
+    holds one (place, index, token) triple per preset place."""
+    struct = state.ws.net.internal
+    marking = state.marking_map()
+    env = state.env_map()
+    ins_map = struct.inscription_map
+    pools = []
+    for pid in struct.pre(tid):
+        toks = marking.get(pid)
+        if not toks:
+            return
+        pools.append([(pid, i, t) for i, t in enumerate(toks)])
+    cond = struct.condition_map.get(tid)
+    for combo in product(*pools):
+        binding = {}
+        for pid, _, token in combo:
+            pattern = ins_map.get((pid, tid))
+            if pattern:
+                binding = _full_scan_match(pattern, token, binding, env)
+                if binding is None:
+                    break
+        if binding is None:
+            continue
+        merged_fields = {}
+        for _, _, token in combo:
+            merged_fields.update(token.field_map())
+        pattern_vars = {expr.name for pid, _, _ in combo
+                        for expr in ins_map.get((pid, tid), ())}
+        enum_vars = []
+        for name in sorted(_full_scan_needed(struct, tid) | pattern_vars):
+            if name in binding or name in env:
+                continue
+            if name in merged_fields:
+                binding[name] = merged_fields[name]
+                continue
+            domain = state.ws.net.gsp.domain(name)
+            if domain is None:
+                raise UnboundFreeVariable(name)
+            enum_vars.append((name, domain))
+        for values in product(*(d for _, d in enum_vars)):
+            full = dict(binding)
+            full.update({n: v for (n, _), v in zip(enum_vars, values)})
+            scope = {**env, **full}
+            if cond is not None and not guards.eval_condition(cond, scope):
+                continue
+            yield full, combo
+
+
+def full_scan_enabled(state):
+    """The reference `enabled`: every transition of the list is tried."""
+    results = [(tid, binding) for tid in state.ws.net.internal.transitions
+               for binding, _ in full_scan_bindings(state, tid)]
+    results.sort(key=lambda r: (natural_key(r[0]), sorted(r[1].items(),
+                                                          key=repr)))
+    return results
+
+
+def typed(binding):
+    return {name: (type(value), value) for name, value in binding.items()}
+
+
+def full_scan_fire(state, tid, binding):
+    """The reference `fire` of a net without ISP places: the binding is
+    matched by type and value, and each consumed token removed by its
+    position."""
+    struct = state.ws.net.internal
+    wanted = dict(binding)
+    found = None
+    if tid in struct.transitions:
+        found = next((pair for pair in full_scan_bindings(state, tid)
+                      if typed(pair[0]) == typed(wanted)), None)
+    if found is None:
+        raise NotEnabled(f"{tid} with binding {wanted!r}")
+    binding, combo = found
+    env = state.env_map()
+    attrs = {a.name for a in state.ws.net.gsp.attributes}
+    scope = {**env, **binding}
+    actions = struct.action_map.get(tid, ())
+    for assign in actions:
+        if assign.target not in attrs and assign.target not in scope:
+            raise guards.UnboundVariable(assign.target)
+    scope2 = guards.eval_action(actions, scope)
+    assigned = {a.target for a in actions}
+    new_env = dict(env)
+    for name in attrs:
+        if name in scope2 and (name in new_env or name in assigned):
+            new_env[name] = scope2[name]
+    marking = {pid: list(toks) for pid, toks in state.marking}
+    taken = {(pid, i) for pid, i, _ in combo}
+    for pid in {pid for pid, _ in taken}:
+        marking[pid] = [t for i, t in enumerate(marking[pid])
+                        if (pid, i) not in taken]
+    merged = {}
+    for _, _, token in combo:
+        merged.update(token.field_map())
+    for name in assigned:
+        if name in merged:
+            merged[name] = scope2[name]
+    produced_log = []
+    for q in struct.post(tid):
+        ins = struct.inscription_map.get((tid, q))
+        if ins:
+            fields = {}
+            for i, expr in enumerate(ins):
+                name = (expr.name if isinstance(expr, guards.Var)
+                        else f"_{i + 1}")
+                fields[name] = guards.eval_expr(expr, scope2)
+        else:
+            fields = dict(merged)
+        token = Token.make(fields)
+        produced_log.append((q, token.fields))
+        marking.setdefault(q, []).append(token)
+    event = sim.FiringEvent(state.depth, tid, tuple(sorted(binding.items())),
+                            tuple((pid, t.fields) for pid, _, t in combo),
+                            tuple(produced_log))
+    return dataclasses.replace(
+        state, marking=freeze_marking(marking, sim._fields_repr),
+        env=tuple(sorted(new_env.items())), trace=state.trace + (event,))
+
+
+def outcome(fn, *args):
+    """What `fn` returns or raises, as text that tells the int 1 from the
+    bool True."""
+    try:
+        result = fn(*args)
+    except GnetError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, sim.SimState):
+        return repr((sorted((p, repr(t)) for p, t in result.marking),
+                     result.env, result.trace))
+    return repr(result)
+
+
+# p01 and p1, t01 and t1 tie under natural_key
+GAME_PLACES = ("p01", "p1", "p2", "p10")
+GAME_NAMES = ("t01", "t1", "t2", "t10")
+GAME_VALUES = (0, 1, True, False)
+# x and y are pattern variables; d ranges over its domain, e over the bools,
+# a starts in the env, and u is declared nowhere
+GAME_ATTRIBUTES = (AttributeSpec("d", "int", domain=(0, 1)),
+                   AttributeSpec("e", "bool"),
+                   AttributeSpec("a", "int", initial=0))
+GAME_VARS = ("x", "y", "d", "e", "a", "u")
+
+game_exprs = st.one_of(st.sampled_from(GAME_VALUES).map(guards.Lit),
+                       st.sampled_from(GAME_VARS).map(guards.Var))
+game_conditions = st.one_of(
+    st.none(), st.just(guards.TRUE), st.builds(guards.Atom, game_exprs),
+    st.builds(guards.Compare, game_exprs, st.sampled_from(("==", "!=")),
+              game_exprs))
+game_patterns = st.lists(st.sampled_from(("x", "y")), max_size=2,
+                         unique=True).map(lambda names: tuple(
+                             guards.Var(n) for n in names))
+game_transitions = st.tuples(
+    st.lists(st.tuples(st.sampled_from(GAME_PLACES), game_patterns),
+             max_size=3, unique_by=lambda arc: arc[0]),
+    st.lists(st.tuples(st.sampled_from(GAME_PLACES),
+                       st.one_of(st.none(), st.lists(
+                           game_exprs, min_size=1, max_size=2).map(tuple))),
+             max_size=2, unique_by=lambda arc: arc[0]),
+    game_conditions,
+    st.one_of(st.just(()), st.builds(
+        lambda expr: (guards.Assign("a", expr),), game_exprs)))
+game_tokens = st.dictionaries(st.sampled_from(("x", "y", "_1", "_2")),
+                              st.sampled_from(GAME_VALUES), max_size=2
+                              ).map(Token.make)
+SWAP = {0: False, 1: True, False: 0, True: 1}
+
+
+def with_twin(tokens, twin):
+    """`tokens`, plus, when `twin`, a copy of the first with 1 and True,
+    and 0 and False, swapped: a token equal to it but of other types, or a
+    duplicate."""
+    if not twin:
+        return tokens
+    first = tokens[0].fields
+    return tokens + [Token(tuple((k, SWAP[v]) for k, v in first))]
+
+
+game_places = st.builds(with_twin, st.lists(game_tokens, min_size=1,
+                                            max_size=3), st.booleans())
+
+
+def game_state(transitions, marking):
+    """A state of a service whose transitions are the (inputs, outputs,
+    condition, actions) quadruples `transitions`, named after GAME_NAMES,
+    in marking `marking` (place -> tokens)."""
+    names = GAME_NAMES[:len(transitions)]
+    arcs, inscriptions, conditions, actions = [], [], [], []
+    for tid, (inputs, outputs, cond, acts) in zip(names, transitions):
+        for pid, pattern in inputs:
+            arcs.append((pid, tid))
+            if pattern:
+                inscriptions.append(((pid, tid), pattern))
+        for pid, ins in outputs:
+            arcs.append((tid, pid))
+            if ins:
+                inscriptions.append(((tid, pid), ins))
+        if cond is not None:
+            conditions.append((tid, cond))
+        if acts:
+            actions.append((tid, acts))
+    struct = InternalStructure(
+        places=tuple(Place(p) for p in GAME_PLACES), transitions=names,
+        arcs=tuple(arcs), inscriptions=tuple(inscriptions),
+        conditions=tuple(conditions), actions=tuple(actions))
+    ws = WebService("game", net=GNetModel(
+        GspSpec((MethodSpec("Play", "", (), "p1", frozenset({"p10"})),),
+                GAME_ATTRIBUTES), struct))
+    return sim.SimState(ws, "Play", freeze_marking(marking, sim._fields_repr),
+                        (("a", 0),))
+
+
+class TestCompiledTokenGame:
+    """`enabled` tries only the transitions whose first preset place is
+    marked, from a plan built once per structure, and `fire` finds its
+    transition through that plan; both must equal a full scan, order,
+    binding types and errors included."""
+
+    @given(st.lists(game_transitions, min_size=1, max_size=4),
+           st.dictionaries(st.sampled_from(GAME_PLACES), game_places,
+                           min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_scan(self, transitions, marking):
+        state = game_state(transitions, marking)
+        expected = outcome(full_scan_enabled, state)
+        assert outcome(sim.enabled, state) == expected
+        tried = [(tid, {}) for tid in state.ws.net.internal.transitions]
+        try:
+            tried += full_scan_enabled(state)
+        except GnetError:
+            pass
+        # a binding that is no choice: 1 for True and True for 1
+        tried += [(tid, {k: {1: True, True: 1}.get(v, v) if type(v)
+                         in (int, bool) else v for k, v in binding.items()})
+                  for tid, binding in tried]
+        tried.append(("t99", {}))
+        for tid, binding in tried:
+            assert outcome(sim.fire, state, tid, binding) \
+                == outcome(full_scan_fire, state, tid, binding)
+
+    def test_one_true_next_to_one(self):
+        state = game_state(
+            [((("p1", (guards.Var("x"),)),), (("p2", (guards.Var("x"),)),),
+              None, ())],
+            {"p1": [Token.make({"x": 1}), Token.make({"x": True})]})
+        assert repr(sim.enabled(state)) == \
+            "[('t01', {'x': 1}), ('t01', {'x': True})]"
+        fired = sim.fire(state, "t01", {"x": True})
+        assert fired.trace[0].binding == (("x", True),)
+        assert repr(fired.trace[0].binding) == "(('x', True),)"
+        after = fired.marking_map()
+        assert repr(after["p1"]) == repr((Token.make({"x": 1}),))
+        assert repr(after["p2"]) == repr((Token.make({"x": True}),))
+
+    def test_unmarked_preset_leaves_unbound_variable_unread(self):
+        # t01 reads the undeclared u, but its preset p2 is never marked
+        transitions = [
+            ((("p2", (guards.Var("x"),)),), (("p10", (guards.Var("u"),)),),
+             None, ()),
+            ((("p1", (guards.Var("x"),)),), (("p2", (guards.Var("x"),)),),
+             None, ())]
+        state = game_state(transitions, {"p1": [Token.make({"x": 0})]})
+        assert sim.enabled(state) == [("t1", {"x": 0})]
+        state = sim.fire(state, "t1", {"x": 0})
+        with pytest.raises(UnboundFreeVariable) as info:
+            sim.enabled(state)
+        assert info.value.name == "u"
+
+    def test_not_enabled(self):
+        state = sim.init_state(book_order_service(), "Command", (1,))
+        for tid, binding in (("T99", {}), ("T2", {}),
+                             ("T1", {"Available": 1, "seq": 1}),
+                             ("T1", {"Available": True, "seq": True})):
+            with pytest.raises(NotEnabled):
+                sim.fire(state, tid, binding)
+
+    def test_structure_shared_by_states_and_services(self):
+        ws = book_order_service()
+        first = sim.init_state(ws, "Command", (1,))
+        second = sim.init_state(ws, "Command", (2,))
+        assert sim.enabled(first) == full_scan_enabled(first)
+        assert sim.enabled(second) == full_scan_enabled(second)
+        for tid, binding in full_scan_enabled(second):
+            assert outcome(sim.fire, second, tid, binding) \
+                == outcome(full_scan_fire, second, tid, binding)
+        # the plan is kept on the structure; the domains are the service's
+        gsp = ws.net.gsp
+        twin = dataclasses.replace(ws, net=GNetModel(
+            dataclasses.replace(gsp, attributes=(
+                AttributeSpec("Available", "bool", domain=(False,)),)),
+            ws.net.internal))
+        third = sim.init_state(twin, "Command", (3,))
+        assert sim.enabled(third) == full_scan_enabled(third) \
+            == [("T3", {"Available": False, "seq": 3})]
