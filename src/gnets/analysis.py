@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 
@@ -186,37 +187,40 @@ class Unresolved:
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlatNet:
+    """An immutable flat net: `dataclasses.replace` makes a changed copy,
+    and `plan` is a view built on first use and cached per instance."""
     places: dict  # name -> FlatPlace
-    transitions: list  # [FlatTransition]
+    transitions: tuple  # tuple[FlatTransition, ...]
     initial: dict  # place name -> list of token tuples (may hold Unresolved)
     domains: dict  # var -> tuple of values
-    # the _SuccessorPlan of `transitions`, built by the first successor call
-    _plan: object = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # a list would let an in-place edit go unseen by the cached plan
+        object.__setattr__(self, "transitions", tuple(self.transitions))
+
+    @cached_property
+    def plan(self) -> _SuccessorPlan:
+        return _successor_plan(self.transitions)
 
     def initial_markings(self):
         """All concrete initial markings, enumerating unresolved fields over
         their declared domains."""
-        unresolved = []
+        unresolved = {}  # name -> domain, in order of first appearance
         for tokens in self.initial.values():
             for tok in tokens:
                 for v in tok:
-                    if isinstance(v, Unresolved) and v.name not in [
-                            u for u, _ in unresolved]:
+                    if isinstance(v, Unresolved) and v.name not in unresolved:
                         if v.name not in self.domains:
                             raise UnboundFreeVariable(v.name)
-                        unresolved.append((v.name, self.domains[v.name]))
+                        unresolved[v.name] = self.domains[v.name]
         out = []
-        for values in product(*(d for _, d in unresolved)):
-            env = {n: val for (n, _), val in zip(unresolved, values)}
-            marking = {}
-            for pname, tokens in self.initial.items():
-                marking[pname] = [
-                    tuple(env[v.name] if isinstance(v, Unresolved) else v
-                          for v in tok)
-                    for tok in tokens]
-            out.append(marking)
+        for values in product(*unresolved.values()):
+            env = dict(zip(unresolved, values))
+            out.append({pname: [tuple(env[v.name] if isinstance(v, Unresolved)
+                                      else v for v in tok) for tok in tokens]
+                        for pname, tokens in self.initial.items()})
         return out
 
 
@@ -370,11 +374,11 @@ def _bind(inputs, toks):
 
 @dataclass(frozen=True)
 class _SuccessorPlan:
-    """What `flat_successors` needs of a flat net, computed once per
-    transition list.  A transition whose first input place is unmarked
-    cannot fire, so a marking tries only the transitions indexed under its
-    places, and those with no input.  Each transition is compiled into a
-    firing kernel, a tuple of
+    """What `flat_successors` needs of a flat net, computed once per net.
+    A transition whose first input place is unmarked cannot fire, so a
+    marking tries only the transitions indexed under its places, and those
+    with no input.  Each transition is compiled into a firing kernel, a
+    tuple of
         transition, rank   the transition and its natural-order rank;
         zipped             True when it has one input with distinct pattern
                            variables and no free variable: it binds by
@@ -385,7 +389,6 @@ class _SuccessorPlan:
                            a binding to the token it puts;
         order, values      the sorted variable names of a binding, and a
                            reader of their values."""
-    transitions: list  # the FlatNet.transitions the plan was built from
     kernels: tuple  # per transition, its firing kernel
     by_first_input: dict  # place -> indexes of the transitions it heads
     no_input: tuple  # indexes of the transitions with no input
@@ -422,17 +425,13 @@ def _is_true(gate) -> bool:
             and gate.expr.value is True)
 
 
-def _successor_plan(flat: FlatNet) -> _SuccessorPlan:
-    """The cached plan of `flat`, rebuilt when its transition list was
-    replaced.  A rank orders transitions by `natural_key` of their name;
-    names with equal keys share it."""
-    plan = flat._plan
-    if plan is not None and plan.transitions is flat.transitions:
-        return plan
-    keys = [natural_key(t.name) for t in flat.transitions]
+def _successor_plan(transitions) -> _SuccessorPlan:
+    """The plan of a flat net's `transitions`.  A rank orders transitions
+    by `natural_key` of their name; names with equal keys share it."""
+    keys = [natural_key(t.name) for t in transitions]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     kernels, by_first_input, no_input = [], {}, []
-    for index, (t, key) in enumerate(zip(flat.transitions, keys)):
+    for index, (t, key) in enumerate(zip(transitions, keys)):
         gate = None if _is_true(t.gate) else t.gate
         needed = set() if gate is None else guards.condition_vars(gate)
         for _, exprs in t.outputs:
@@ -451,9 +450,7 @@ def _successor_plan(flat: FlatNet) -> _SuccessorPlan:
             by_first_input.setdefault(t.inputs[0][0], []).append(index)
         else:
             no_input.append(index)
-    flat._plan = _SuccessorPlan(flat.transitions, tuple(kernels),
-                                by_first_input, tuple(no_input))
-    return flat._plan
+    return _SuccessorPlan(tuple(kernels), by_first_input, tuple(no_input))
 
 
 def _fire(kernel, marking, tokens, combo, env, results):
@@ -486,7 +483,7 @@ def flat_successors(flat: FlatNet, marking: frozenset):
     plan's firing kernel: a one-input transition with distinct pattern
     variables and no free variable binds each token by zip; any other
     binds every combination of input tokens and free-variable values."""
-    plan = _successor_plan(flat)
+    plan = flat.plan
     tokens = dict(marking)
     candidates = set(plan.no_input)
     for pname in tokens:
@@ -656,31 +653,27 @@ def analyze(graph: StateGraph, goal_places: set) -> AnalysisReport:
 # --- Run languages (used by equivalence checks) ----------------------------
 
 
-def flat_run_language(flat: FlatNet, initial: dict, max_len: int = 40,
-                      max_runs: int = 20000) -> set:
-    """The set of origin-transition firing sequences of maximal runs, with
-    internal copy transitions erased."""
-    # the first transition of a name, as a scan would find it
-    origins = {t.name: t.origin for t in reversed(flat.transitions)}
-    out = set()
-    stack = [(freeze_marking(initial), ())]
-    seen_prefix = set()
+def label_language(graph: StateGraph, labels: Callable, max_len: int = 40
+                   ) -> set:
+    """The words of the maximal runs of a complete state graph from
+    `reachability` or `explore_service`.  An edge appends the letters
+    `labels(edge label)`, so an empty tuple erases it; a word ends at a
+    state with no out-edge, or once it has `max_len` letters."""
+    if graph.truncated:
+        raise ValueError("the run language of a truncated graph is unknown")
+    words, seen = set(), set()
+    stack = [(graph.initial, ())]
     while stack:
-        marking, word = stack.pop()
-        if (marking, word) in seen_prefix:
+        pair = stack.pop()
+        if pair in seen:
             continue
-        seen_prefix.add((marking, word))
-        succs = flat_successors(flat, marking)
-        if not succs:
-            out.add(word)
+        seen.add(pair)
+        state, word = pair
+        out = graph.out[state]
+        if not out or len(word) >= max_len:
+            words.add(word)
             continue
-        if len(word) >= max_len:
-            out.add(word)
-            continue
-        for tname, _, succ in succs:
-            origin = origins[tname]
-            new_word = word + (origin,) if origin else word
-            stack.append((succ, new_word))
-        if len(out) > max_runs:
-            raise RuntimeError("run language too large")
-    return out
+        for index in out:
+            _, label, _, dst = graph.edges[index]
+            stack.append((dst, word + tuple(labels(label))))
+    return words

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import algebra, analysis, dsl, guards, io, prod, sim
@@ -102,7 +103,8 @@ def cmd_simulate(args):
         # the failed call's partial trace follows its error line
         print("\n".join([f"error: {exc}"] + sim.format_trace(exc)),
               file=sys.stderr)
-        return EXIT_SEMANTIC
+        return (EXIT_STEP_LIMIT if exc.outcome == sim.STEP_LIMIT
+                else EXIT_SEMANTIC)
     if args.json:
         _write_out(args, json.dumps(io.trace_to_dict(outcome, state.trace),
                                     indent=2) + "\n")
@@ -166,10 +168,10 @@ def cmd_export(args):
     reg = _registry(args)
     _, _, flat = _flatten_model(ws, reg, args, structural=True)
     # markings with still-unresolved fields are structural only: omit them
-    flat.initial = {
+    flat = replace(flat, initial={
         p: toks for p, toks in flat.initial.items()
         if not any(isinstance(v, analysis.Unresolved)
-                   for tok in toks for v in tok)}
+                   for tok in toks for v in tok)})
     _write_out(args, prod.export_prod(flat))
     return EXIT_OK
 

@@ -267,8 +267,10 @@ def enabled(state: SimState):
         results += [(step.tid, binding)
                     for binding, _ in _bindings(step, marking, env, gsp)]
     if len(results) > 1:
-        results.sort(key=lambda r: (natural_key(r[0]),
-                                    sorted(r[1].items(), key=repr)))
+        # a str value sorts after a number and is compared only with a str
+        results.sort(key=lambda r: (natural_key(r[0]), [
+            (name, type(value) is str, value)
+            for name, value in sorted(r[1].items(), key=repr)]))
     return results
 
 

@@ -150,3 +150,25 @@ def stuck_service():
     return WebService(name="Stuck", desc="stalls after one step",
                       component_services=frozenset({"Stuck"}),
                       net=GNetModel(GspSpec(methods=(method,)), struct))
+
+
+def mixed_values_service():
+    """t0 forks; ta puts the int 1 and tb the str "a" on p1, and t1 reads
+    either as x: one transition, two bindings of x of different types."""
+    struct = InternalStructure(
+        places=(Place("p0"), Place("pa"), Place("pb"), Place("p1"),
+                Place("p2", PlaceKind.GOAL)),
+        transitions=("t0", "ta", "tb", "t1"),
+        arcs=(("p0", "t0"), ("t0", "pa"), ("t0", "pb"), ("pa", "ta"),
+              ("ta", "p1"), ("pb", "tb"), ("tb", "p1"), ("p1", "t1"),
+              ("t1", "p2")),
+        inscriptions=((("ta", "p1"), _ins("1")), (("tb", "p1"), _ins('"a"')),
+                      (("p1", "t1"), _ins("x"))),
+        labels=(("p0", OpLabel("fork")), ("pa", OpLabel("int")),
+                ("pb", OpLabel("str")), ("p1", OpLabel("read")),
+                ("p2", GOAL)),
+    )
+    method = MethodSpec("Mix", "", (), "p0", frozenset({"p2"}))
+    return WebService(name="Mixed", desc="an int and a str on one place",
+                      component_services=frozenset({"Mixed"}),
+                      net=GNetModel(GspSpec(methods=(method,)), struct))

@@ -1,16 +1,16 @@
 """The acceptance gate.  Each test covers one headline criterion and is
 named so `pytest -v` reports exactly one pass/fail line per criterion."""
 
+import dataclasses
 import random
 import time
-from collections import deque
 from pathlib import Path
 
 import reach_oracle
 from fixtures import (book_order_service, branching_bool_service,
                       gated_false_service, treat_command_block,
                       treat_command_service)
-from gnets import algebra, analysis, dsl, guards, prod, sim
+from gnets import algebra, analysis, dsl, guards, prod
 from gnets.model import Registry, validate
 
 GOLDEN = Path(__file__).parent / "golden" / "book_order.prod"
@@ -43,6 +43,18 @@ def flat_region(pids):
 
 def tokens_in(marking, places):
     return sum(len(marking.get(p, ())) for p in places)
+
+
+def source_letters(flat):
+    """The `label_language` letters of a flat net's edges: a source
+    transition is its origin, and a copy transition is erased."""
+    origin = {t.name: t.origin for t in flat.transitions}
+    return lambda name: (origin[name],) if origin[name] else ()
+
+
+def transition_letters(tid):
+    """The `label_language` letters of a token-game edge."""
+    return (tid,)
 
 
 # -- 1 ----------------------------------------------------------------------
@@ -127,7 +139,7 @@ def test_criterion_03_arbitrary_sequence_mutual_exclusion():
     body_b = flat_region(result.regions["p6"])
     for marking in graph.nodes.values():
         assert not (tokens_in(marking, body_a) and tokens_in(marking, body_b))
-    runs = analysis.flat_run_language(flat, flat.initial_markings()[0])
+    runs = analysis.label_language(graph, source_letters(flat))
     orders = set()
     for run in runs:
         assert run[-1] == "t6"  # every maximal run completes
@@ -144,18 +156,9 @@ def test_criterion_04_discriminator_single_activation():
     continuation = result.regions["p5"]
     for marking in graph.nodes.values():
         assert tokens_in(marking, continuation) <= 1
-    # along every path the continuation is entered (t4 fires) at most once
-    seen = {(graph.initial, 0)}
-    queue = deque(seen)
-    while queue:
-        node, fired = queue.popleft()
-        for idx in graph.out[node]:
-            _, label, _, dst = graph.edges[idx]
-            nxt = (dst, fired + (label == "t4"))
-            assert nxt[1] <= 1, "continuation activated twice on one path"
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    # along every run the continuation is entered (t4 fires) at most once
+    for run in analysis.label_language(graph, transition_letters):
+        assert run.count("t4") <= 1, "continuation activated twice on a run"
     # sanity: the graph does exercise both race outcomes
     assert any(label == "t6" for _, label, _, _ in graph.edges)
 
@@ -179,7 +182,7 @@ def test_criterion_05_parallel_join():
         if tokens_in(marking, goal):
             assert not tokens_in(marking, body_a)
             assert not tokens_in(marking, body_b)
-    runs = analysis.flat_run_language(flat, flat.initial_markings()[0])
+    runs = analysis.label_language(graph, source_letters(flat))
     orders = set()
     for run in runs:
         assert "t2" in run  # the join always happens
@@ -193,8 +196,8 @@ def test_criterion_05_parallel_join():
 
 def test_criterion_06_golden_prod_reproduction():
     from test_prod import normalize
-    flat = analysis.flatten(book_order_service(), "Command")
-    flat.initial = {}
+    flat = dataclasses.replace(
+        analysis.flatten(book_order_service(), "Command"), initial={})
     text = prod.export_prod(flat)
     lines = text.splitlines()
     assert sum(1 for l in lines if l.startswith("#place ")) == 12
@@ -227,18 +230,17 @@ def test_criterion_07_reachability_matches_oracle():
 
 # -- 8 ----------------------------------------------------------------------
 
-def sim_run_language(ws, method, args=()):
-    out = set()
-    stack = [(sim.init_state(ws, method, args), ())]
-    while stack:
-        state, word = stack.pop()
-        choices = sim.enabled(state)
-        if not choices:
-            out.add(word)
-            continue
-        for tid, binding in choices:
-            stack.append((sim.fire(state, tid, binding), word + (tid,)))
-    return out
+def flat_language(flat):
+    """The source-transition run language of every initial marking."""
+    return set().union(*(
+        analysis.label_language(analysis.reachability(flat, initial=m),
+                                source_letters(flat))
+        for m in flat.initial_markings()))
+
+
+def token_game_language(ws, method, args=()):
+    return analysis.label_language(
+        analysis.explore_service(ws, method, args), transition_letters)
 
 
 def test_criterion_08_flattening_trace_equivalence():
@@ -258,10 +260,8 @@ def test_criterion_08_flattening_trace_equivalence():
     for ws, method, args in cases:
         params = [n for n, _ in ws.net.gsp.method(method).params]
         flat = analysis.flatten(ws, method, args=dict(zip(params, args)))
-        words = set()
-        for initial in flat.initial_markings():
-            words |= analysis.flat_run_language(flat, initial)
-        assert words == sim_run_language(ws, method, args), ws.name
+        assert flat_language(flat) == token_game_language(ws, method, args), \
+            ws.name
 
 
 # -- 9 ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import test_acceptance
 from fixtures import treat_command_block, treat_command_service
-from gnets import algebra, guards
+from gnets import algebra, analysis, guards
 from gnets.errors import (EmptyBranchSet, EmptyReplacement, MalformedBlock,
                           MissingReqMethod)
 from gnets.model import (BlockFragment, GoalLabel, InternalStructure, IspRef,
@@ -246,3 +249,59 @@ class TestClosureSmoke:
             algebra.iteration(algebra.arbitrary_sequence(s2, s3)))
         assert validate(ws).ok
         assert algebra.main_method(ws).name == "Par"
+
+
+# name -> the two sides of a law over the subterms x, y and z
+LAWS = {
+    "seq is associative": ("seq(seq({x}, {y}), {z})",
+                           "seq({x}, seq({y}, {z}))"),
+    "alt is associative": ("alt(alt({x}, {y}), {z})",
+                           "alt({x}, alt({y}, {z}))"),
+    "par is associative": ("par(par({x}, {y}), {z})",
+                           "par({x}, par({y}, {z}))"),
+    "alt commutes": ("alt({x}, {y})", "alt({y}, {x})"),
+    "par commutes": ("par({x}, {y})", "par({y}, {x})"),
+    "anyseq commutes": ("anyseq({x}, {y})", "anyseq({y}, {x})"),
+    "disc racers commute": ("disc({x}, {y}; {z})", "disc({y}, {x}; {z})"),
+    "anyseq expands": ("anyseq({x}, {y})",
+                       "alt(seq({x}, {y}), seq({y}, {x}))"),
+    "empty is a left unit of seq": ("seq(empty, {x})", "{x}"),
+    "empty is a right unit of seq": ("seq({x}, empty)", "{x}"),
+    "empty is a unit of par": ("par({x}, empty)", "{x}"),
+    "alt is idempotent": ("alt({x}, {x})", "{x}"),
+    "seq distributes over alt": ("seq({x}, alt({y}, {z}))",
+                                 "alt(seq({x}, {y}), seq({x}, {z}))"),
+}
+# a subterm of two leaves: a law that holds only for one-letter subterms,
+# such as anyseq without its mutual exclusion, fails on these
+SUBTERMS = st.builds("{}({}, {})".format,
+                     st.sampled_from(("seq", "alt", "par", "anyseq")),
+                     st.sampled_from(test_acceptance.LEAVES),
+                     st.sampled_from(test_acceptance.LEAVES))
+
+
+def op_language(text, reg):
+    """The label language of a term's token game: a transition's letters
+    are the operation labels of the places it consumes."""
+    service = analysis.inline_isps(test_acceptance.compose(text, reg),
+                                   reg).service
+    struct = service.net.internal
+    labels = struct.label_map
+    return analysis.label_language(
+        analysis.explore_service(service),
+        lambda tid: tuple(labels[p].name for p in struct.pre(tid)
+                          if isinstance(labels.get(p), OpLabel)))
+
+
+class TestLaws:
+    """The algebra's laws hold as equal label languages: traces, not
+    branching bisimulation, under which `seq` does not distribute over
+    `alt`."""
+
+    @pytest.mark.parametrize("law", LAWS)
+    @given(x=SUBTERMS, y=SUBTERMS, z=SUBTERMS)
+    @settings(max_examples=20, deadline=None)
+    def test_law_holds(self, law, x, y, z):
+        reg = test_acceptance.make_registry()
+        left, right = (side.format(x=x, y=y, z=z) for side in LAWS[law])
+        assert op_language(left, reg) == op_language(right, reg)

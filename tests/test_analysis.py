@@ -13,7 +13,7 @@ import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
                       gated_false_service, treat_command_block,
                       treat_command_service)
-from gnets import algebra, analysis, dsl, guards, prod, sim
+from gnets import algebra, analysis, dsl, guards, prod
 from gnets.errors import (DepthLimitExceeded, GnetError, UnboundFreeVariable,
                           UnflattenableIsp)
 from gnets.model import (PlaceKind, Registry, freeze_marking, natural_key,
@@ -156,9 +156,9 @@ class TestFlatten:
         assert tokens == [(1, False), (1, True)]
 
     def test_unresolved_without_domain_raises(self):
-        flat = analysis.flatten(book_order_service(), "Command",
-                                args={"seq": 1})
-        flat.domains.pop("Available")
+        flat = dataclasses.replace(
+            analysis.flatten(book_order_service(), "Command",
+                             args={"seq": 1}), domains={})
         with pytest.raises(UnboundFreeVariable):
             flat.initial_markings()
 
@@ -387,14 +387,26 @@ class TestCompiledEngine:
         explored = book_order_flat()
         graphs(explored)
         kept = [t for t in explored.transitions if t.name != "T3"]
-        fresh = book_order_flat()
-        fresh.transitions = kept
-        expected = graphs(fresh)
+        expected = graphs(dataclasses.replace(book_order_flat(),
+                                              transitions=kept))
         assert expected != graphs(book_order_flat())
         assert graphs(dataclasses.replace(explored, transitions=kept)) \
             == expected
-        explored.transitions = kept
-        assert graphs(explored) == expected
+
+    def test_net_explores_as_its_transitions_say(self):
+        """A flat net keeps a tuple of its own, so the plan it caches
+        cannot go stale: an edit of the list it was made from does not
+        reach it, and its fields cannot be assigned."""
+        listed = list(book_order_flat().transitions)
+        net = dataclasses.replace(book_order_flat(), transitions=listed)
+        explored = graphs(net)
+        assert listed.pop().name == "T7"
+        assert graphs(net) == explored == graphs(dataclasses.replace(
+            book_order_flat(), transitions=net.transitions))
+        assert graphs(dataclasses.replace(net, transitions=listed)) \
+            != explored
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.transitions = listed
 
     def test_reparsed_net_explores_like_a_fresh_one(self):
         reg = make_registry()
@@ -488,20 +500,31 @@ class TestOracleAgreement:
             assert engine_nodes(graph) == expected
 
 
-class TestTraceEquivalence:
-    def sim_language(self, ws, method, args=()):
-        out = set()
-        stack = [(sim.init_state(ws, method, args), ())]
-        while stack:
-            state, word = stack.pop()
-            choices = sim.enabled(state)
-            if not choices:
-                out.add(word)
-                continue
-            for tid, binding in choices:
-                stack.append((sim.fire(state, tid, binding), word + (tid,)))
-        return out
+class TestLabelLanguage:
+    def loop(self):
+        """The token game of iter(a): t1§i1 runs a, then t1 loops back
+        or t2 leaves."""
+        reg = make_registry()
+        return analysis.explore_service(analysis.inline_isps(
+            compose("iter(a)", reg), reg).service)
 
+    def test_words_are_cut_at_max_len(self):
+        letters = test_acceptance.transition_letters
+        assert analysis.label_language(self.loop(), letters, max_len=4) == {
+            ("t1§i1", "t2"), ("t1§i1", "t1", "t1§i1", "t2"),
+            ("t1§i1", "t1", "t1§i1", "t1")}
+
+    def test_erased_cycle_ends(self):
+        assert analysis.label_language(self.loop(), lambda tid: ()) == {()}
+
+    def test_truncated_graph_raises(self):
+        flat = analysis.flatten(treat_command_service(), "Command")
+        with pytest.raises(ValueError):
+            analysis.label_language(analysis.reachability(flat, 2),
+                                    lambda name: (name,))
+
+
+class TestTraceEquivalence:
     @pytest.mark.parametrize("ws,method,args", [
         (treat_command_service(), "Command", ()),
         (gated_false_service(), "Never", ()),
@@ -513,10 +536,8 @@ class TestTraceEquivalence:
             ws, method,
             args=dict(zip((n for n, _ in ws.net.gsp.method(method).params),
                           args)))
-        flat_words = set()
-        for initial in flat.initial_markings():
-            flat_words |= analysis.flat_run_language(flat, initial)
-        assert flat_words == self.sim_language(ws, method, args)
+        assert test_acceptance.flat_language(flat) == \
+            test_acceptance.token_game_language(ws, method, args)
 
 
 class TestFlatDiscriminator:
@@ -528,17 +549,10 @@ class TestFlatDiscriminator:
         reg = test_acceptance.make_registry()
         _, flat = test_acceptance.inline_flat("disc(a, b; c)", reg)
         graph = analysis.reachability(flat)
-        seen = {(graph.initial, 0)}
-        queue = deque(seen)
-        while queue:
-            node, fired = queue.popleft()
-            for idx in graph.out[node]:
-                _, label, _, dst = graph.edges[idx]
-                nxt = (dst, fired + (label == "t4"))
-                assert nxt[1] <= 1, "continuation activated twice on one path"
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+        for run in analysis.label_language(
+                graph, test_acceptance.source_letters(flat)):
+            assert run.count("t4") <= 1, \
+                "continuation activated twice on a run"
         # t6 routes a late racer to the goal
         assert any(label == "t6" for _, label, _, _ in graph.edges)
 

@@ -5,7 +5,8 @@ from operator import getitem
 import pytest
 
 from fixtures import (book_order_service, gated_false_service,
-                      stuck_service, treat_command_block)
+                      mixed_values_service, stuck_service,
+                      treat_command_block)
 from gnets import algebra, io
 from gnets.cli import main
 
@@ -198,6 +199,27 @@ class TestSimulate:
         code = main(["simulate", str(out), "--registry", str(registry_dir),
                      "--max-steps", "5"])
         assert code == 3
+
+    def test_nested_step_limit_exit_3(self, tmp_path, registry_dir, capsys):
+        main(["compose", str(compose_file(tmp_path, "iter(a)")),
+              "--registry", str(registry_dir),
+              "--out", str(registry_dir / "iter.json")])
+        out = tmp_path / "nested.json"
+        main(["compose", str(compose_file(tmp_path, "seq(iter(a), b)")),
+              "--registry", str(registry_dir), "--out", str(out)])
+        capsys.readouterr()
+        code = main(["simulate", str(out), "--registry", str(registry_dir),
+                     "--max-steps", "5"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: invoked method Iter(a).Iter reached no goal "
+            "(StepLimit)\n")
+
+    def test_int_and_str_bindings_exit_0(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        io.save_service(mixed_values_service(), path)
+        assert main(["simulate", str(path), "--policy", "random",
+                     "--seed", "2"]) == 0
 
     def test_zero_max_steps_exit_2(self, book_order_path, capsys):
         code = main(["simulate", str(book_order_path), "--args", "1",

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 from fixtures import book_order_service, branching_bool_service
@@ -21,9 +22,8 @@ def normalize(text):
 
 
 def book_order_flat():
-    flat = analysis.flatten(book_order_service(), "Command")
-    flat.initial = {}
-    return flat
+    return replace(analysis.flatten(book_order_service(), "Command"),
+                   initial={})
 
 
 class TestExportProd:
@@ -66,13 +66,12 @@ class TestExportProd:
                                 args={"seq": 1})
         initial = [m for m in flat.initial_markings()
                    if m["P1f"][0][1] is True][0]
-        flat.initial = initial
-        text = prod.export_prod(flat)
+        text = prod.export_prod(replace(flat, initial=initial))
         assert "#place P1f mk(<.1, true.>)" in text
 
     def test_multiple_tokens_joined(self):
-        flat = book_order_flat()
-        flat.initial = {"P1f": [(1, True), (2, False)]}
+        flat = replace(book_order_flat(),
+                       initial={"P1f": [(1, True), (2, False)]})
         text = prod.export_prod(flat)
         assert "#place P1f mk(<.1, true.>+<.2, false.>)" in text
 
@@ -102,18 +101,17 @@ class TestRoundTrip:
     def test_reparse_markings(self):
         flat = analysis.flatten(branching_bool_service(), "Branch")
         initial = flat.initial_markings()[0]
-        flat.initial = initial
-        back = prod.reparse_prod(prod.export_prod(flat))
+        back = prod.reparse_prod(prod.export_prod(
+            replace(flat, initial=initial)))
         assert back.initial == {p: [tuple(t) for t in toks]
                                 for p, toks in initial.items() if toks}
 
     def test_reachability_agrees_after_round_trip(self):
         flat = analysis.flatten(branching_bool_service(), "Branch")
         initial = flat.initial_markings()[1]
-        flat.initial = initial
         graph = analysis.reachability(flat, initial=initial)
-        back = prod.reparse_prod(prod.export_prod(flat))
-        back.domains = flat.domains
+        back = replace(prod.reparse_prod(prod.export_prod(
+            replace(flat, initial=initial))), domains=flat.domains)
         graph2 = analysis.reachability(back, initial=initial)
         assert set(graph.nodes) == set(graph2.nodes)
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import (book_order_service, branching_bool_service,
-                      gated_false_service, stuck_service)
+                      gated_false_service, mixed_values_service,
+                      stuck_service)
 from gnets import algebra, dsl, guards, sim
 from gnets.errors import (ArityMismatch, DepthLimitExceeded, GnetError,
                           NotEnabled, SubnetDeadlock, UnboundFreeVariable,
@@ -335,8 +336,9 @@ def full_scan_enabled(state):
     """The reference `enabled`: every transition of the list is tried."""
     results = [(tid, binding) for tid in state.ws.net.internal.transitions
                for binding, _ in full_scan_bindings(state, tid)]
-    results.sort(key=lambda r: (natural_key(r[0]), sorted(r[1].items(),
-                                                          key=repr)))
+    results.sort(key=lambda r: (natural_key(r[0]), [
+        (name, type(value) is str, value)
+        for name, value in sorted(r[1].items(), key=repr)]))
     return results
 
 
@@ -537,6 +539,13 @@ class TestCompiledTokenGame:
         after = fired.marking_map()
         assert repr(after["p1"]) == repr((Token.make({"x": 1}),))
         assert repr(after["p2"]) == repr((Token.make({"x": True}),))
+
+    def test_int_and_str_bindings_of_one_variable(self):
+        state = sim.init_state(mixed_values_service(), "Mix")
+        for tid in ("t0", "ta", "tb"):
+            state = sim.fire(state, tid, {})
+        assert sim.enabled(state) == [("t1", {"x": 1}), ("t1", {"x": "a"})]
+        assert sim.enabled(state) == full_scan_enabled(state)
 
     def test_unmarked_preset_leaves_unbound_variable_unread(self):
         # t01 reads the undeclared u, but its preset p2 is never marked
