@@ -380,6 +380,7 @@ class _SuccessorPlan:
     with no input.  Each transition is compiled into a firing kernel, a
     tuple of
         transition, rank   the transition and its natural-order rank;
+        places             the names of its input places;
         zipped             True when it has one input with distinct pattern
                            variables and no free variable: it binds by
                            zipping the pattern with each token;
@@ -388,10 +389,19 @@ class _SuccessorPlan:
         outputs            per output place, (place, maker): a maker takes
                            a binding to the token it puts;
         order, values      the sorted variable names of a binding, and a
-                           reader of their values."""
+                           reader of their values.
+    Whether a transition fires, and what its firing does, depends only on
+    the tokens of its input places (and on the net's domains), so the memo
+    `firings` keeps each kernel run: it maps (transition index, repr of
+    the tuple of its input places' tokens) to the transition's
+    `_local_firings` at those tokens.  The repr tells the int 1 from the
+    bool True, as the token order does; a no-input transition's key is its
+    index and "()".  `flat_successors` fills the memo, which lives as long
+    as the plan, that is, as its `FlatNet`."""
     kernels: tuple  # per transition, its firing kernel
     by_first_input: dict  # place -> indexes of the transitions it heads
     no_input: tuple  # indexes of the transitions with no input
+    firings: dict = field(default_factory=dict)  # the memo
 
 
 def _reader(names):
@@ -443,7 +453,7 @@ def _successor_plan(transitions) -> _SuccessorPlan:
         zipped = (len(t.inputs) == 1 and not free
                   and len(bound) == len(t.inputs[0][1]))
         kernels.append((
-            t, rank[key], zipped, free, gate,
+            t, rank[key], tuple(p for p, _ in t.inputs), zipped, free, gate,
             [(p, _output_maker(exprs)) for p, exprs in t.outputs],
             order, _reader(order)))
         if t.inputs:
@@ -453,25 +463,65 @@ def _successor_plan(transitions) -> _SuccessorPlan:
     return _SuccessorPlan(tuple(kernels), by_first_input, tuple(no_input))
 
 
-def _fire(kernel, marking, tokens, combo, env, results):
-    """Append to `results` the firing of `kernel` that consumes the token
-    at each (place, index) of `combo` under the binding `env`, if its gate
-    holds: its sort key, then its (name, binding, successor) triple."""
-    t, rank, _, _, gate, outputs, order, values = kernel
-    if gate is not None and not guards.eval_condition(gate, env):
+def _bindings(kernel, local, domains):
+    """Each (token index per input place, binding) of `kernel`'s
+    transition when its input places hold the token tuples `local`: a
+    zipped kernel binds each token by zip; any other binds every
+    combination of input tokens and free-variable values.  A token equal
+    to the one before it (tokens are sorted by repr) is skipped."""
+    t, _, _, zipped, free = kernel[:5]
+    if zipped:
+        (_, pattern), = t.inputs
+        toks, = local
+        for i, tok in enumerate(toks):
+            if len(tok) == len(pattern) and not (
+                    i and repr(tok) == repr(toks[i - 1])):
+                yield (i,), dict(zip(pattern, tok))
         return
-    # place -> its tokens after the firing
-    touched = {p: tokens[p][:i] + tokens[p][i + 1:] for p, i in combo}
-    for pname, make in outputs:
-        toks = touched.get(pname, tokens.get(pname, ()))
-        tok = make(env)
-        touched[pname] = (tuple(sorted(toks + (tok,), key=repr)) if toks
-                          else (tok,))
-    succ = marking.difference(
-        (p, tokens[p]) for p in touched if p in tokens).union(
-        (p, toks) for p, toks in touched.items() if toks)
-    pairs = tuple(zip(order, values(env)))
-    results.append((rank, repr(pairs), (t.name, pairs, succ)))
+    pools = [[i for i in range(len(toks))
+              if not i or repr(toks[i]) != repr(toks[i - 1])]
+             for toks in local]
+    for combo in product(*pools):
+        binding = _bind(t.inputs, [toks[i] for toks, i in zip(local, combo)])
+        if binding is None:
+            continue
+        for name in free:
+            if name not in domains:
+                raise UnboundFreeVariable(name)
+        for values in product(*(domains[name] for name in free)):
+            yield combo, {**binding, **dict(zip(free, values))}
+
+
+def _local_firings(kernel, local, domains) -> tuple:
+    """The firings of `kernel`'s transition when its input places hold the
+    token tuples `local`, in the order of `_bindings`.  A firing is a tuple of
+        sort key          (rank, repr of the binding);
+        name, pairs       the transition's name and its binding's sorted
+                          (variable, value) pairs;
+        removed, added    the (place, tokens) pairs of its input places
+                          before and after it, an emptied place left out;
+        others            (place, tokens) per other place it puts tokens
+                          on, sorted by repr, to be merged with the
+                          tokens the place already holds."""
+    t, rank, places, _, _, gate, outputs, order, values = kernel
+    removed = tuple(zip(places, local))
+    firings = []
+    for combo, env in _bindings(kernel, local, domains):
+        if gate is not None and not guards.eval_condition(gate, env):
+            continue
+        after = {p: toks[:i] + toks[i + 1:]
+                 for p, toks, i in zip(places, local, combo)}
+        others = {}
+        for pname, make in outputs:
+            side = after if pname in after else others
+            toks, tok = side.get(pname), make(env)
+            side[pname] = (tuple(sorted(toks + (tok,), key=repr)) if toks
+                           else (tok,))
+        pairs = tuple(zip(order, values(env)))
+        firings.append(((rank, repr(pairs)), t.name, pairs, removed,
+                        tuple((p, toks) for p, toks in after.items() if toks),
+                        tuple(others.items())))
+    return tuple(firings)
 
 
 def flat_successors(flat: FlatNet, marking: frozenset):
@@ -479,11 +529,13 @@ def flat_successors(flat: FlatNet, marking: frozenset):
     marking, ordered by the transition's natural-order rank, then by the
     binding's repr; ties keep the transition list's order.  A successor is
     frozen too: it is built from the parent's token tuples, replacing those
-    of the places the firing touches.  Each candidate transition runs its
-    plan's firing kernel: a one-input transition with distinct pattern
-    variables and no free variable binds each token by zip; any other
-    binds every combination of input tokens and free-variable values."""
+    of the places the firing touches.  A candidate transition's firings
+    at the tokens of its input places are taken from the plan's memo, or
+    computed by `_local_firings` and stored there; a computation that
+    raises stores nothing.  Only a firing that puts tokens on an already
+    marked place other than its inputs sorts them into that place's."""
     plan = flat.plan
+    memo = plan.firings
     tokens = dict(marking)
     candidates = set(plan.no_input)
     for pname in tokens:
@@ -491,40 +543,22 @@ def flat_successors(flat: FlatNet, marking: frozenset):
     results = []
     for index in sorted(candidates):
         kernel = plan.kernels[index]
-        t, _, zipped, free = kernel[:4]
-        if zipped:
-            (pname, pattern), = t.inputs
-            toks = tokens[pname]
-            for i, tok in enumerate(toks):
-                # tokens are sorted by repr: skip repeats of the one before
-                if len(tok) != len(pattern) or (
-                        i and repr(tok) == repr(toks[i - 1])):
-                    continue
-                _fire(kernel, marking, tokens, ((pname, i),),
-                      dict(zip(pattern, tok)), results)
+        local = tuple(map(tokens.get, kernel[2]))
+        if None in local:  # an unmarked input place
             continue
-        pools = []
-        for pname, pattern in t.inputs:
-            toks = tokens.get(pname)
-            if not toks:
-                pools = None
-                break
-            pools.append([(pname, i) for i in range(len(toks)) if i == 0
-                          or repr(toks[i]) != repr(toks[i - 1])])
-        if pools is None:
-            continue
-        for combo in product(*pools):
-            binding = _bind(t.inputs, [tokens[p][i] for p, i in combo])
-            if binding is None:
-                continue
-            for name in free:
-                if name not in flat.domains:
-                    raise UnboundFreeVariable(name)
-            for values in product(*(flat.domains[name] for name in free)):
-                _fire(kernel, marking, tokens, combo,
-                      {**binding, **dict(zip(free, values))}, results)
-    results.sort(key=itemgetter(0, 1))
-    return [triple for _, _, triple in results]
+        key = (index, repr(local))
+        firings = memo.get(key)
+        if firings is None:
+            firings = memo[key] = _local_firings(kernel, local, flat.domains)
+        for sort_key, name, pairs, removed, added, others in firings:
+            marked = [(p, tokens[p]) for p, _ in others if p in tokens]
+            if marked:
+                others = [(p, tuple(sorted(tokens[p] + toks, key=repr)))
+                          if p in tokens else (p, toks) for p, toks in others]
+            results.append((sort_key, (name, pairs, marking.difference(
+                removed, marked).union(added, others))))
+    results.sort(key=itemgetter(0))
+    return [triple for _, triple in results]
 
 
 def reachability(flat: FlatNet, max_states: int = 100000,
@@ -539,18 +573,21 @@ def reachability(flat: FlatNet, max_states: int = 100000,
                 "initial marking is not unique; pass one explicitly")
         initial = markings[0]
     graph = StateGraph(initial=freeze_marking(initial))
-    graph.add_node(graph.initial)
+    out, edges = graph.out, graph.edges
+    out[graph.initial] = []
     queue = deque([graph.initial])
     while queue:
         state = queue.popleft()
+        state_out = out[state]
         for tname, binding, succ in flat_successors(flat, state):
-            if succ not in graph.out:
-                if len(graph.out) >= max_states:
+            if succ not in out:
+                if len(out) >= max_states:
                     graph.truncated = True
                     continue
-                graph.add_node(succ)
+                out[succ] = []
                 queue.append(succ)
-            graph.add_edge(state, tname, binding, succ)
+            state_out.append(len(edges))
+            edges.append((state, tname, binding, succ))
     return graph
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Optional
 
@@ -19,8 +19,10 @@ from .errors import DuplicateService, UnknownBlock, UnknownService
 RENAME_SEP = "§"  # §
 
 
+@cache
 def natural_key(ident: str):
-    """Sort key that orders p2 before p10."""
+    """Sort key that orders p2 before p10.  Ids recur in every sort of a
+    model, so each distinct id's key is computed once per process."""
     return tuple(int(part) if part.isdigit() else part
                  for part in re.split(r"(\d+)", ident))
 

@@ -206,6 +206,38 @@ class TestReachability:
             "(('a', ((True,),)), ('b', ((1,),)))",
             "(('a', ((1,),)), ('b', ((True,),)))"]
 
+    def test_memo_tells_int_from_bool_tokens(self):
+        """((1, 1), (1, 1)) and ((1, 1), (1, True)) are equal tuples, so a
+        firing memo keyed on them would fire the second marking as the
+        first: once, where (x, x) binds each of its two tokens."""
+        make = analysis.FlatTransition(
+            "t_make", (), (("p2", (guards.Lit(1), guards.Var("e"))),))
+        eat = analysis.FlatTransition(
+            "t_eat", (("p2", ("x", "x")),), (("p3", (guards.Var("x"),)),))
+        flat = analysis.FlatNet(places={}, transitions=[make, eat],
+                                initial={}, domains={"e": (1, True)})
+        markings = [freeze_marking({"p2": [(1, 1), (1, 1)]}),
+                    freeze_marking({"p2": [(1, 1), (1, True)]})]
+        memoized = [exact(analysis.flat_successors(flat, m))
+                    for m in markings]
+        assert memoized == [
+            exact(analysis.flat_successors(dataclasses.replace(flat), m))
+            for m in markings]
+        assert [len(succs) for succs in memoized] == [3, 4]
+
+    def test_warm_memo_explores_alike(self):
+        """A second exploration of a net, which finds every firing in the
+        memo the first one filled, gives the same graph."""
+        for name in ("par4", "anyseq4", "disc3", "book_order"):
+            flat, initials = COMPOSED_NETS[name]()
+            for initial in initials:
+                cold = analysis.reachability(flat, initial=initial)
+                filled = len(flat.plan.firings)
+                warm = analysis.reachability(flat, initial=initial)
+                assert len(flat.plan.firings) == filled
+                assert warm.edges == cold.edges
+                assert list(warm.out.items()) == list(cold.out.items())
+
     def test_deterministic(self):
         flat = analysis.flatten(book_order_service(), "Command",
                                 args={"seq": 1})
@@ -261,6 +293,15 @@ def full_scan_successors(flat, marking):
                 results.append((t.name, tuple(sorted(full.items())), succ))
     results.sort(key=lambda r: (natural_key(r[0]), repr(r[1])))
     return results
+
+
+def exact(successors):
+    """Successor triples with each binding and successor as its repr, so
+    that the int 1 and the bool True compare apart; an error as is."""
+    if not isinstance(successors, list):
+        return successors
+    return [(name, repr(binding), repr(analysis.canonical_marking(succ)))
+            for name, binding, succ in successors]
 
 
 # p01 and p1, T_p01 and T_p1 tie under natural_key
@@ -364,17 +405,21 @@ class TestCompiledEngine:
     @settings(max_examples=200, deadline=None)
     def test_equals_full_scan(self, transitions, initial):
         # each transition alone too: one that raises hides the others
-        marking = freeze_marking(initial)
         for net in [transitions, *([t] for t in transitions)]:
             flat = analysis.FlatNet(places={}, transitions=net,
                                     initial=initial, domains=DOMAINS)
-            expected = outcome(full_scan_successors, flat, marking)
-            assert outcome(analysis.flat_successors, flat, marking) \
-                == expected
-            if isinstance(expected, list):  # the plan is built by now
-                for _, _, succ in expected:
-                    assert (outcome(analysis.flat_successors, flat, succ)
-                            == outcome(full_scan_successors, flat, succ))
+            # three breadth-first levels of one net: the later ones fire
+            # from the memo, onto output places marked by then
+            level = [freeze_marking(initial)]
+            for _ in range(3):
+                following = []
+                for marking in level:
+                    expected = outcome(full_scan_successors, flat, marking)
+                    assert exact(outcome(analysis.flat_successors, flat,
+                                         marking)) == exact(expected)
+                    if isinstance(expected, list):
+                        following += [succ for _, _, succ in expected]
+                level = list(dict.fromkeys(following))
 
     def test_unmarked_preset_leaves_unbound_variable_unread(self):
         graph = analysis.reachability(chain_net({"s": [(0,)]}))
