@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import product
 from operator import itemgetter
 
-from . import algebra, guards
+from . import algebra, guards, sim
 from .errors import (DepthLimitExceeded, UnboundFreeVariable,
                      UnflattenableIsp, UnknownMethod)
 from .model import (TAU, GNetModel, InternalStructure, PlaceKind, Registry,
@@ -352,13 +352,6 @@ class StateGraph:
         """Each state's place -> tokens dict, made anew on every read."""
         return {state: dict(self.marking_of(state)) for state in self.out}
 
-    def add_node(self, state):
-        self.out.setdefault(state, [])
-
-    def add_edge(self, src, label, binding, dst):
-        self.edges.append((src, label, binding, dst))
-        self.out[src].append(len(self.edges) - 1)
-
 
 def _bind(inputs, toks):
     """The binding of each input's pattern to its token, or None."""
@@ -384,12 +377,7 @@ class _SuccessorPlan:
         zipped             True when it has one input with distinct pattern
                            variables and no free variable: it binds by
                            zipping the pattern with each token;
-        free               its free variables, sorted, for the other path;
-        gate               None when the gate is the literal `true`;
-        outputs            per output place, (place, maker): a maker takes
-                           a binding to the token it puts;
-        order, values      the sorted variable names of a binding, and a
-                           reader of their values.
+        free               its free variables, sorted, for the other path.
     Whether a transition fires, and what its firing does, depends only on
     the tokens of its input places (and on the net's domains), so the memo
     `firings` keeps each kernel run: it maps (transition index, repr of
@@ -404,37 +392,6 @@ class _SuccessorPlan:
     firings: dict = field(default_factory=dict)  # the memo
 
 
-def _reader(names):
-    """A function from a binding to the tuple of its values of `names`."""
-    if not names:
-        return _no_values
-    if len(names) == 1:
-        name, = names
-        return lambda env: (env[name],)
-    return itemgetter(*names)
-
-
-def _no_values(env):
-    return ()
-
-
-def _output_maker(exprs):
-    """A function from a binding to the token `exprs` put: an all-variable
-    tuple is read off the binding, any other is evaluated by `eval_expr`."""
-    names = [e.name for e in exprs if type(e) is guards.Var]
-    if len(names) == len(exprs):
-        return _reader(names)
-    return lambda env: tuple(guards.eval_expr(e, env) for e in exprs)
-
-
-def _is_true(gate) -> bool:
-    """Whether `gate` is the literal `true`.  `Atom(Lit(1))` equals
-    `guards.TRUE` as a dataclass but fails to evaluate, so the value's
-    type is tested."""
-    return (type(gate) is guards.Atom and type(gate.expr) is guards.Lit
-            and gate.expr.value is True)
-
-
 def _successor_plan(transitions) -> _SuccessorPlan:
     """The plan of a flat net's `transitions`.  A rank orders transitions
     by `natural_key` of their name; names with equal keys share it."""
@@ -442,20 +399,16 @@ def _successor_plan(transitions) -> _SuccessorPlan:
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     kernels, by_first_input, no_input = [], {}, []
     for index, (t, key) in enumerate(zip(transitions, keys)):
-        gate = None if _is_true(t.gate) else t.gate
-        needed = set() if gate is None else guards.condition_vars(gate)
+        needed = guards.condition_vars(t.gate)
         for _, exprs in t.outputs:
             for e in exprs:
                 needed |= guards.expr_vars(e)
         bound = {v for _, pattern in t.inputs for v in pattern}
         free = sorted(needed - bound)
-        order = sorted(bound | needed)
         zipped = (len(t.inputs) == 1 and not free
                   and len(bound) == len(t.inputs[0][1]))
-        kernels.append((
-            t, rank[key], tuple(p for p, _ in t.inputs), zipped, free, gate,
-            [(p, _output_maker(exprs)) for p, exprs in t.outputs],
-            order, _reader(order)))
+        kernels.append((t, rank[key], tuple(p for p, _ in t.inputs), zipped,
+                        free))
         if t.inputs:
             by_first_input.setdefault(t.inputs[0][0], []).append(index)
         else:
@@ -469,18 +422,17 @@ def _bindings(kernel, local, domains):
     zipped kernel binds each token by zip; any other binds every
     combination of input tokens and free-variable values.  A token equal
     to the one before it (tokens are sorted by repr) is skipped."""
-    t, _, _, zipped, free = kernel[:5]
-    if zipped:
-        (_, pattern), = t.inputs
-        toks, = local
-        for i, tok in enumerate(toks):
-            if len(tok) == len(pattern) and not (
-                    i and repr(tok) == repr(toks[i - 1])):
-                yield (i,), dict(zip(pattern, tok))
-        return
+    t, _, _, zipped, free = kernel
     pools = [[i for i in range(len(toks))
               if not i or repr(toks[i]) != repr(toks[i - 1])]
              for toks in local]
+    if zipped:
+        (_, pattern), = t.inputs
+        toks, = local
+        for i in pools[0]:
+            if len(toks[i]) == len(pattern):
+                yield (i,), dict(zip(pattern, toks[i]))
+        return
     for combo in product(*pools):
         binding = _bind(t.inputs, [toks[i] for toks, i in zip(local, combo)])
         if binding is None:
@@ -503,21 +455,22 @@ def _local_firings(kernel, local, domains) -> tuple:
         others            (place, tokens) per other place it puts tokens
                           on, sorted by repr, to be merged with the
                           tokens the place already holds."""
-    t, rank, places, _, _, gate, outputs, order, values = kernel
+    t, rank, places, _, _ = kernel
     removed = tuple(zip(places, local))
     firings = []
     for combo, env in _bindings(kernel, local, domains):
-        if gate is not None and not guards.eval_condition(gate, env):
+        if not guards.eval_condition(t.gate, env):
             continue
         after = {p: toks[:i] + toks[i + 1:]
                  for p, toks, i in zip(places, local, combo)}
         others = {}
-        for pname, make in outputs:
+        for pname, exprs in t.outputs:
             side = after if pname in after else others
-            toks, tok = side.get(pname), make(env)
+            toks = side.get(pname)
+            tok = tuple(guards.eval_expr(e, env) for e in exprs)
             side[pname] = (tuple(sorted(toks + (tok,), key=repr)) if toks
                            else (tok,))
-        pairs = tuple(zip(order, values(env)))
+        pairs = tuple(sorted(env.items()))
         firings.append(((rank, repr(pairs)), t.name, pairs, removed,
                         tuple((p, toks) for p, toks in after.items() if toks),
                         tuple(others.items())))
@@ -595,7 +548,6 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
                     max_states: int = 100000) -> StateGraph:
     """Exhaustive state graph of an ISP-free service at the token-game level
     (states pair the marking with the attribute environment)."""
-    from . import sim
     for p in ws.net.internal.places:
         if p.kind is PlaceKind.ISP:
             raise UnflattenableIsp(
@@ -605,20 +557,22 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
 
     graph = StateGraph(initial=(state0.marking, state0.env),
                        marking_of=itemgetter(0))
-    graph.add_node(graph.initial)
+    out, edges = graph.out, graph.edges
+    out[graph.initial] = []
     queue = deque([(graph.initial, state0)])
     while queue:
         key, state = queue.popleft()
         for tid, binding in sim.enabled(state):
             succ = sim.fire(state, tid, binding)
             skey = (succ.marking, succ.env)
-            if skey not in graph.out:
-                if len(graph.out) >= max_states:
+            if skey not in out:
+                if len(out) >= max_states:
                     graph.truncated = True
                     continue
-                graph.add_node(skey)
+                out[skey] = []
                 queue.append((skey, succ))
-            graph.add_edge(key, tid, tuple(sorted(binding.items())), skey)
+            out[key].append(len(edges))
+            edges.append((key, tid, tuple(sorted(binding.items())), skey))
     return graph
 
 

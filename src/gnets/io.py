@@ -23,6 +23,14 @@ _KINDS = {k.value: k for k in PlaceKind}
 # --- Structure <-> dict ----------------------------------------------------
 
 
+def _name(value, optional=False):
+    """`value`, a name or id, which must be a JSON string (or null when
+    `optional`)."""
+    if type(value) is str or (optional and value is None):
+        return value
+    raise ParseError(0, f"a name or id must be a string, not {value!r}")
+
+
 def _label_to_dict(label):
     if isinstance(label, OpLabel):
         return {"variant": "op", "name": label.name}
@@ -39,13 +47,13 @@ def _label_to_dict(label):
 def _label_from_dict(d):
     variant = d.get("variant")
     if variant == "op":
-        return OpLabel(d["name"])
+        return OpLabel(_name(d["name"]))
     if variant == "tau":
         return TAU
     if variant == "goal":
         return GOAL
     if variant == "isp":
-        return IspRef(d["service"], d["method"])
+        return IspRef(_name(d["service"]), _name(d["method"]))
     raise ParseError(0, f"unknown label variant {variant!r}")
 
 
@@ -80,24 +88,26 @@ def _structure_from_dict(d: dict) -> InternalStructure:
         kind = _KINDS.get(pd.get("kind", "normal"))
         if kind is None:
             raise ParseError(0, f"unknown place kind {pd.get('kind')!r}")
-        places.append(Place(pd["id"], kind,
-                            invoked_gnet=pd.get("invokedGnet"),
-                            using_method=pd.get("usingMethod")))
+        places.append(Place(
+            _name(pd["id"]), kind,
+            invoked_gnet=_name(pd.get("invokedGnet"), optional=True),
+            using_method=_name(pd.get("usingMethod"), optional=True)))
     return InternalStructure(
         places=tuple(places),
-        transitions=tuple(d.get("transitions", ())),
-        arcs=tuple((a, b) for a, b in d.get("arcs", ())),
+        transitions=tuple(map(_name, d.get("transitions", ()))),
+        arcs=tuple((_name(a), _name(b)) for a, b in d.get("arcs", ())),
         inscriptions=tuple(
-            ((i["src"], i["tgt"]), guards.parse_inscription(i["fields"]))
+            ((_name(i["src"]), _name(i["tgt"])),
+             guards.parse_inscription(i["fields"]))
             for i in d.get("inscriptions", ())),
         conditions=tuple(
-            (c["transition"], guards.parse_condition(c["text"]))
+            (_name(c["transition"]), guards.parse_condition(c["text"]))
             for c in d.get("conditions", ())),
         actions=tuple(
-            (a["transition"], guards.parse_action(a["text"]))
+            (_name(a["transition"]), guards.parse_action(a["text"]))
             for a in d.get("actions", ())),
         labels=tuple(
-            (ld["place"], _label_from_dict(ld))
+            (_name(ld["place"]), _label_from_dict(ld))
             for ld in d.get("labels", ())),
     )
 
@@ -148,23 +158,24 @@ def service_from_dict(d: dict) -> WebService:
     try:
         gsp_d = d["net"]["gsp"]
         methods = tuple(
-            MethodSpec(m["name"], m.get("description", ""),
-                       tuple((p["name"], p.get("description", ""))
+            MethodSpec(_name(m["name"]), m.get("description", ""),
+                       tuple((_name(p["name"]), p.get("description", ""))
                              for p in m.get("params", ())),
-                       m["initPlace"], frozenset(m["goalPlaces"]))
+                       _name(m["initPlace"]),
+                       frozenset(map(_name, m["goalPlaces"])))
             for m in gsp_d.get("methods", ()))
         attributes = tuple(
-            AttributeSpec(a["name"], a["valueType"], a.get("initial"),
+            AttributeSpec(_name(a["name"]), a["valueType"], a.get("initial"),
                           tuple(a["domain"]) if a.get("domain") is not None
                           else None)
             for a in gsp_d.get("attributes", ()))
         return WebService(
-            name=d["name"],
+            name=_name(d["name"]),
             desc=d.get("desc", ""),
             loc=d.get("loc"),
             url=d.get("url"),
-            component_services=frozenset(d.get("componentServices",
-                                               [d["name"]])),
+            component_services=frozenset(map(_name, d.get(
+                "componentServices", [d["name"]]))),
             net=GNetModel(GspSpec(methods, attributes),
                           _structure_from_dict(d["net"]["is"])),
         )
@@ -192,7 +203,7 @@ def block_from_dict(d: dict) -> tuple:
         if declared_exit and declared_exit != block.exits:
             raise ParseError(0, f"declared exit {declared_exit} does not "
                              f"match computed {block.exits}")
-        return d["name"], block
+        return _name(d["name"]), block
     except _MALFORMED as exc:
         raise _malformed(exc) from None
 

@@ -84,10 +84,8 @@ def export_prod(flat: FlatNet) -> str:
             f"{p}: {_tuple_text([guards.print_expr(e) for e in exprs])}"
             for p, exprs in t.outputs)
         lines.append("out { %s; }" % outs)
-        if t.gate == guards.TRUE:
-            lines.append("gate ;")
-        else:
-            lines.append(f"gate {guards.print_condition(t.gate)};")
+        gate = guards.print_condition(t.gate)
+        lines.append("gate ;" if gate == "true" else f"gate {gate};")
         lines.append("#endtr")
     return "\n".join(lines) + "\n"
 

@@ -248,6 +248,21 @@ class TestReachability:
         assert [g.edges for g in runs] == [g.edges for g in runs2]
 
 
+def reference_bind(inputs, toks):
+    """The binding of each input's pattern to its token, or None: every
+    token has its pattern's arity, a variable takes the first value it
+    meets, and each later value of it equals that one."""
+    if any(len(pattern) != len(tok)
+           for (_, pattern), tok in zip(inputs, toks)):
+        return None
+    pairs = [pair for (_, pattern), tok in zip(inputs, toks)
+             for pair in zip(pattern, tok)]
+    binding = dict(reversed(pairs))
+    if all(binding[var] == value for var, value in pairs):
+        return binding
+    return None
+
+
 def full_scan_successors(flat, marking):
     """The reference successor function: every transition of the list is
     tried in every state, and each result sorted by `natural_key`."""
@@ -265,7 +280,7 @@ def full_scan_successors(flat, marking):
         if pools is None:
             continue
         for combo in product(*pools):
-            binding = analysis._bind(t.inputs,
+            binding = reference_bind(t.inputs,
                                      [tokens[p][i] for p, i in combo])
             if binding is None:
                 continue

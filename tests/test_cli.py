@@ -86,7 +86,22 @@ class TestValidate:
         (("net", "is", "places", 0), "P1"),
         (("net", "is", "inscriptions", 0, "fields"), 5),
         (("net", "gsp", "attributes", 0, "domain"), 5),
-    ], ids=["list", "place-string", "fields-number", "domain-number"])
+        (("net", "is", "places", 0, "id"), ["P1"]),
+        (("net", "is", "transitions", 0), ["T1"]),
+        (("net", "is", "arcs", 0, 0), ["P1"]),
+        (("net", "is", "arcs", 0, 1), ["T1"]),
+        (("net", "gsp", "methods", 0, "initPlace"), ["P1"]),
+        (("net", "is", "labels", 0, "place"), ["P1"]),
+        (("net", "is", "conditions", 0, "transition"), ["T1"]),
+        (("net", "gsp", "methods", 0, "params", 0, "name"), ["seq"]),
+        (("net", "gsp", "attributes", 0, "name"), ["Available"]),
+        (("name",), ["Book-Order"]),
+        (("net", "is", "places", 0, "id"), 1),
+    ], ids=["list", "place-string", "fields-number", "domain-number",
+            "place-id-list", "transition-list", "arc-source-list",
+            "arc-target-list", "init-place-list", "label-place-list",
+            "condition-transition-list", "param-name-list",
+            "attribute-name-list", "service-name-list", "place-id-number"])
     def test_malformed_document_exit_2(self, tmp_path, capsys, where, value):
         doc = io.service_to_dict(book_order_service())
         if where:
@@ -96,9 +111,10 @@ class TestValidate:
             doc = value
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))
-        assert main(["validate", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        for command in ("validate", "simulate"):
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
 
     def test_duplicate_arc_exit_1(self, doubled_arc_path, capsys):
         assert main(["validate", str(doubled_arc_path)]) == 1

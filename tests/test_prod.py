@@ -2,7 +2,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from fixtures import book_order_service, branching_bool_service
-from gnets import algebra, analysis, prod
+from gnets import algebra, analysis, guards, prod
 
 GOLDEN = Path(__file__).parent / "golden" / "book_order.prod"
 
@@ -53,6 +53,18 @@ class TestExportProd:
         assert blocks["T7"] == "gate Available == false;"
         for name in ("T2", "T5", "T6", "T_P1", "T_P6"):
             assert blocks[name] == "gate ;"
+
+    def test_only_a_true_gate_is_left_empty(self):
+        """`Atom(Lit(1))` equals `guards.TRUE` as a dataclass but is no
+        bool: it is written out, not left empty as the always-true gate."""
+        gates = {"T2": guards.Atom(guards.Lit(1)), "T5": guards.TRUE}
+        flat = book_order_flat()
+        text = prod.export_prod(replace(flat, transitions=[
+            replace(t, gate=gates.get(t.name, t.gate))
+            for t in flat.transitions]))
+        lines = text.splitlines()
+        assert lines[lines.index("#trans T2") + 3] == "gate 1;"
+        assert lines[lines.index("#trans T5") + 3] == "gate ;"
 
     def test_copy_transitions_interleaved(self):
         text = prod.export_prod(book_order_flat())
