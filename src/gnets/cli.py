@@ -205,7 +205,7 @@ def build_parser():
     p.add_argument("model")
     p.add_argument("--method", default=None)
     p.add_argument("--args", nargs="*", default=[], metavar="VALUE")
-    p.add_argument("--policy", choices=("det", "random"), default="det")
+    p.add_argument("--policy", choices=sim.POLICIES, default="det")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth-limit", type=int, default=16)
     p.add_argument("--max-steps", type=int, default=10000)
@@ -246,6 +246,12 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except GnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except RecursionError:
+        # a call chain, or a nesting no parser reports, deeper than the
+        # interpreter's stack
+        print("error: nesting exceeds the interpreter's recursion limit",
+              file=sys.stderr)
         return EXIT_SEMANTIC
 
 

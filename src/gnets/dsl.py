@@ -220,7 +220,11 @@ class _Parser(TokenCursor):
 
 
 def parse_expr(text: str):
-    return _Parser(_tokenize(text)).parse()
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError(parser.here(), "term nested too deeply") from None
 
 
 def print_expr(e) -> str:

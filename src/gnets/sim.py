@@ -14,6 +14,19 @@ from each place to the transitions whose first preset place it is, so a
 state tries only the transitions its marked places head.  The plan holds
 nothing of the service's interface (domains, attributes, goals), which
 services sharing a structure may declare differently.
+
+A call that draws no random choice is a function of its inputs, so each
+registry keeps a call memo (`_CallMemo`), made by its first `run` or ISP
+call and never copied: `Registry.copy()` starts with none.  Its key is the
+invoked service and method, `repr` of the arguments (the int 1 and the
+bool True stay apart), the caller's depth and the config's `policy`,
+`depth_limit` and `max_steps`, but not its `seed`.  Its value is the fields
+the call's goal tokens add to the ISP token and the call's trace.  A call
+is stored when it reaches its goal and no step of it, nested calls
+included, drew a random choice (`run` counts its draws on the memo); a call
+that draws, or raises, is never stored.  The memo holds because
+`Registry.insert` never changes what a name means and every nested call
+has a step budget of its own.
 """
 
 from __future__ import annotations
@@ -30,14 +43,21 @@ from .model import (PlaceKind, Registry, Token, WebService, freeze_marking,
                     natural_key)
 
 GOAL, DEADLOCK, STEP_LIMIT = "Goal", "Deadlock", "StepLimit"
+POLICIES = ("det", "random")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    policy: str = "det"  # det | random
+    """Every field but `seed` is part of the call memo's key."""
+    policy: str = "det"  # one of POLICIES
     seed: int = 0
     depth_limit: int = 16
     max_steps: int = 10000
+
+    def __post_init__(self):
+        if self.policy not in POLICIES:
+            raise ValueError(f"unknown policy {self.policy!r}: expected "
+                             f"one of {', '.join(POLICIES)}")
 
 
 @dataclass(frozen=True)
@@ -339,10 +359,28 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
 
 # --- ISP invocation --------------------------------------------------------
 
+class _CallMemo:
+    """The draw-free calls made on one registry, and the count of random
+    draws its runs have made, by which `invoke_isp` sees a call draw."""
+
+    def __init__(self):
+        self.results = {}  # key -> (goal fields, trace)
+        self.draws = 0
+
+
+def _call_memo(registry: Registry) -> _CallMemo:
+    """The call memo of `registry`, kept on the instance."""
+    memo = registry.__dict__.get("_call_memo")
+    if memo is None:
+        memo = registry.__dict__["_call_memo"] = _CallMemo()
+    return memo
+
+
 def invoke_isp(state: SimState, pid: str, token: Token):
     """Run the call that `token` makes as it is put on the ISP place `pid`
     of `state`'s net.  Returns the token the call returns, which carries the
-    method's goal fields over the call's own, and the call's events."""
+    method's goal fields over the call's own, and the call's events.  A
+    draw-free call is run once per registry (see the module docstring)."""
     place = state.ws.net.internal.place_map[pid]
     if state.depth + 1 > state.config.depth_limit:
         raise DepthLimitExceeded(
@@ -364,19 +402,29 @@ def invoke_isp(state: SimState, pid: str, token: Token):
                 f"{svc.name}.{method.name}")
         args.append(fields[pname])
 
-    sub = init_state(svc, method.name, args, registry=state.registry,
-                     config=state.config, depth=state.depth + 1)
-    sub, outcome = run(sub)
-    if outcome != GOAL:
-        raise SubnetDeadlock(
-            f"invoked method {svc.name}.{method.name} reached no goal "
-            f"({outcome})", outcome, sub.trace, sub.marking)
-
-    sub_marking = sub.marking_map()
-    for g in sorted(method.goal_places, key=natural_key):
-        for tok in sub_marking.get(g, ()):
-            fields.update(tok.field_map())
-    return Token.make(fields), sub.trace
+    config, memo = state.config, _call_memo(state.registry)
+    key = (svc.name, method.name, repr(args), state.depth, config.policy,
+           config.depth_limit, config.max_steps)
+    result = memo.results.get(key)
+    if result is None:
+        draws = memo.draws
+        sub = init_state(svc, method.name, args, registry=state.registry,
+                         config=config, depth=state.depth + 1)
+        sub, outcome = run(sub)
+        if outcome != GOAL:
+            raise SubnetDeadlock(
+                f"invoked method {svc.name}.{method.name} reached no goal "
+                f"({outcome})", outcome, sub.trace, sub.marking)
+        sub_marking, added = sub.marking_map(), {}
+        for g in sorted(method.goal_places, key=natural_key):
+            for tok in sub_marking.get(g, ()):
+                added.update(tok.fields)
+        result = added, sub.trace
+        if memo.draws == draws:
+            memo.results[key] = result
+    added, trace = result
+    fields.update(added)
+    return Token.make(fields), trace
 
 
 # --- Runs ------------------------------------------------------------------
@@ -387,12 +435,14 @@ def _at_goal(state: SimState, goals: frozenset) -> bool:
 
 def run(state: SimState):
     """Fire until a goal marking, a deadlock or the step limit, as set by
-    `state.config` (which every nested ISP call shares).  Returns the final
-    state and one of GOAL / DEADLOCK / STEP_LIMIT."""
+    `state.config` (which every nested ISP call shares; each call has
+    `max_steps` steps of its own).  Returns the final state and one of
+    GOAL / DEADLOCK / STEP_LIMIT."""
     config = state.config
     if config.max_steps <= 0:
         raise ValueError("max_steps must be positive")
     goals = state.ws.net.gsp.method(state.method_name).goal_places
+    memo = None if state.registry is None else _call_memo(state.registry)
     for step in range(config.max_steps):
         if _at_goal(state, goals):
             return state, GOAL
@@ -401,6 +451,8 @@ def run(state: SimState):
             return state, DEADLOCK
         # a generator would pick the only choice whatever its seed
         if config.policy == "random" and len(choices) > 1:
+            if memo is not None:
+                memo.draws += 1
             rng = random.Random(f"{config.seed}:{step}:{len(state.trace)}")
             tid, binding = rng.choice(choices)
         else:

@@ -502,6 +502,21 @@ def reparsed_book_order():
     return back, flat.initial_markings()
 
 
+def shared_variable_join():
+    """t1 copies each value on s to pa and pb; the join t2 reads x from
+    both, so it fires on equal tokens only, and pa and pb come to hold
+    unequal ones as well."""
+    flat = analysis.FlatNet(
+        places={}, domains={}, initial={"s": [(0,), (1,)]}, transitions=[
+            analysis.FlatTransition(
+                "t1", (("s", ("x",)),),
+                (("pa", (guards.Var("x"),)), ("pb", (guards.Var("x"),)))),
+            analysis.FlatTransition(
+                "t2", (("pa", ("x",)), ("pb", ("x",))),
+                (("g", (guards.Var("x"),)),))])
+    return flat, flat.initial_markings()
+
+
 # name -> (flat net, initial markings)
 COMPOSED_NETS = {
     "par4": lambda: composed_net("par(par(a, b), par(c, d))"),
@@ -511,6 +526,7 @@ COMPOSED_NETS = {
                            book_order_flat().initial_markings()),
     "refine": lambda: composed_net('seq(refine(a, "op-a", B), alt(b, c))'),
     "reparsed": reparsed_book_order,
+    "shared_variable_join": shared_variable_join,
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from functools import reduce
 from operator import getitem
@@ -9,6 +10,7 @@ from fixtures import (book_order_service, gated_false_service,
                       treat_command_block)
 from gnets import algebra, io
 from gnets.cli import main
+from gnets.model import IspRef, Place, PlaceKind
 
 
 @pytest.fixture
@@ -175,6 +177,14 @@ class TestCompose:
                      str(registry_dir)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_over_deep_term_exit_2(self, tmp_path, registry_dir, capsys):
+        term = compose_file(tmp_path, "iter(" * 1500 + "a" + ")" * 1500)
+        assert main(["compose", str(term), "--registry",
+                     str(registry_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at ")
+        assert err.endswith(": term nested too deeply\n")
+
     def test_registry_from_environment(self, tmp_path, registry_dir,
                                        monkeypatch, capsys):
         monkeypatch.setenv("GNET_REGISTRY", str(registry_dir))
@@ -230,6 +240,26 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(
             "error: invoked method Iter(a).Iter reached no goal "
             "(StepLimit)\n")
+
+    @pytest.mark.parametrize("depth_limit, message", [
+        (100, "invocation depth 101 exceeds the limit 100"),
+        (2000, "nesting exceeds the interpreter's recursion limit")])
+    def test_self_call_exit_1(self, tmp_path, capsys, depth_limit, message):
+        """`loop`'s p1 calls loop.Atomic: a chain of calls that ends at the
+        depth limit, or at the interpreter's stack, whichever is lower."""
+        ws = algebra.atomic("loop", "op-loop")
+        struct = ws.net.internal
+        struct = dataclasses.replace(
+            struct,
+            places=(Place("p1", PlaceKind.ISP, "loop", "Atomic"),)
+            + struct.places[1:],
+            labels=(("p1", IspRef("loop", "Atomic")),) + struct.labels[1:])
+        path = tmp_path / "loop.json"
+        io.save_service(dataclasses.replace(
+            ws, net=dataclasses.replace(ws.net, internal=struct)), path)
+        assert main(["simulate", str(path), "--depth-limit",
+                     str(depth_limit)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_int_and_str_bindings_exit_0(self, tmp_path):
         path = tmp_path / "mixed.json"

@@ -1,10 +1,12 @@
 import dataclasses
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
                       gated_false_service, mixed_values_service,
                       stuck_service)
@@ -247,6 +249,124 @@ class TestIspInvocation:
         lines = sim.format_trace(final)
         assert len(lines) == len(final.trace)
         assert all(line.split()[1] for line in lines)
+
+
+class TestConfig:
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="unknown policy 'rand'"):
+            sim.SimConfig(policy="rand")
+
+    def test_fields_pinned(self):
+        """Every field but the seed is part of the call memo's key, so a
+        new field must be added to the key too."""
+        assert [f.name for f in dataclasses.fields(sim.SimConfig)] == [
+            "policy", "seed", "depth_limit", "max_steps"]
+
+
+# --- The call memo -----------------------------------------------------------
+
+def observe(ws, method_name, args, reg, config):
+    """What a run shows: its outcome, trace and final marking, or its
+    error's type and message, and a failed call's trace."""
+    try:
+        final, outcome = sim.run(sim.init_state(ws, method_name, args,
+                                                registry=reg, config=config))
+    except GnetError as exc:
+        return (type(exc).__name__, str(exc),
+                sim.format_trace(exc) if isinstance(exc, SubnetDeadlock)
+                else None)
+    return outcome, sim.format_trace(final), final.marking
+
+
+def memo_keys(reg):
+    return set(sim._call_memo(reg).results)
+
+
+class TestCallMemo:
+    def test_call_that_draws_is_not_stored(self):
+        reg = make_registry()
+        ws = compose("seq(alt(a, b), c)", reg)
+        shared = reg.copy()
+
+        def trace(seed, on):
+            return observe(ws, "Seq", (), on, sim.SimConfig(
+                policy="random", seed=seed))
+
+        traces = {}
+        for seed in (1, 2, 3, 4, 2, 1):
+            traces[seed] = trace(seed, shared)
+            assert traces[seed] == trace(seed, reg.copy())
+        assert len({tuple(t[1]) for t in traces.values()}) > 1
+        # the leaves are stored; the alt call, which draws, is not
+        called = {(name, depth) for name, _, _, depth, *_ in
+                  memo_keys(shared)}
+        assert {("a", 1), ("b", 1), ("c", 0)} <= called
+        assert ("Alt(a,b)", 0) not in called
+
+    def test_int_and_bool_arguments_apart(self):
+        reg = make_registry()
+        ws = compose("select(a, b)", reg)
+        shared = reg.copy()
+        for value in (1, True, 1):
+            assert observe(ws, "Select", (value,), shared, sim.SimConfig()) \
+                == observe(ws, "Select", (value,), reg.copy(),
+                           sim.SimConfig())
+        assert {args for _, _, args, *_ in memo_keys(shared)} >= {
+            "[1]", "[True]"}
+
+    def test_limits_are_part_of_the_key(self):
+        reg = make_registry()
+        ws = compose("seq(seq(seq(a, b), b), b)", reg)
+        shared = reg.copy()
+        for config, outcome in (
+                (sim.SimConfig(), sim.GOAL),
+                (sim.SimConfig(depth_limit=2), "DepthLimitExceeded"),
+                (sim.SimConfig(max_steps=1), "SubnetDeadlock")):
+            seen = observe(ws, "Seq", (), shared, config)
+            assert seen == observe(ws, "Seq", (), reg.copy(), config)
+            assert seen[0] == outcome
+
+    def test_failed_call_is_not_stored(self):
+        reg = make_registry()
+        reg.insert(stuck_service())
+        ws = compose("seq(Stuck, a)", reg)
+        first = observe(ws, "Seq", (), reg, sim.SimConfig())
+        assert first[0] == "SubnetDeadlock" and not memo_keys(reg)
+        assert observe(ws, "Seq", (), reg, sim.SimConfig()) == first
+        assert not memo_keys(reg)
+
+    def test_copy_starts_empty(self):
+        reg = make_registry()
+        ws = compose("seq(a, b)", reg)
+        observe(ws, "Seq", (), reg, sim.SimConfig())
+        assert memo_keys(reg)
+        assert not memo_keys(reg.copy())
+
+    def test_sweep_slice_equals_memo_free_runs(self, monkeypatch):
+        """On each term, one registry runs det and then random seeds 1, 2,
+        3 and 1 again; each run shows what it shows on a fresh registry
+        with no memo."""
+        configs = [sim.SimConfig(max_steps=300)] + [
+            sim.SimConfig(policy="random", seed=seed, max_steps=300)
+            for seed in (1, 2, 3, 1)]
+        rng = random.Random(20240817)
+        reg = test_acceptance.make_registry()
+        runs = []
+        for _ in range(200):
+            ws = dsl.eval_expr(test_acceptance.random_term(rng, 5), reg)
+            if ws.net.gsp.methods:
+                method = algebra.main_method(ws)
+                args = ["req"] * len(method.params)
+                shared = reg.copy()
+                runs += [(ws, method.name, args, config,
+                          observe(ws, method.name, args, shared, config))
+                         for config in configs]
+        monkeypatch.setattr(sim, "_call_memo", lambda reg: sim._CallMemo())
+        for ws, method_name, args, config, seen in runs:
+            assert seen == observe(ws, method_name, args, reg.copy(),
+                                   config), (ws.name, config)
+        assert {seen[0] for *_, seen in runs} >= {
+            sim.GOAL, sim.STEP_LIMIT, "SubnetDeadlock"}
 
 
 # --- The compiled token game against a full scan -----------------------------
