@@ -20,7 +20,8 @@ from . import algebra, guards, sim
 from .errors import (DepthLimitExceeded, UnboundFreeVariable,
                      UnflattenableIsp, UnknownMethod)
 from .model import (TAU, GNetModel, InternalStructure, PlaceKind, Registry,
-                    WebService, apart, freeze_marking, natural_key)
+                    WebService, apart, exact, freeze_marking, natural_key,
+                    same)
 
 # --- ISP inlining ----------------------------------------------------------
 
@@ -297,33 +298,20 @@ def flatten(ws: WebService, method_name: str = None, args: dict = None
             name=t, inputs=inputs, outputs=tuple(outputs),
             gate=cond_map.get(t, guards.TRUE), origin=t))
 
-    domains = {}
-    for a in attrs:
-        domain = ws.net.gsp.domain(a.name)
-        if domain is not None:
-            domains[a.name] = domain
-
-    attr_map = {a.name: a for a in attrs}
-    init_sig = signatures[method.init_place]
-    token = []
-    for v in init_sig:
-        if v in args:
-            token.append(args[v])
-        elif v in attr_map and attr_map[v].initial is not None:
-            token.append(attr_map[v].initial)
-        else:
-            token.append(Unresolved(v))
-    initial = {flat_name(method.init_place, "f"): [tuple(token)]}
+    domains = {a.name: ws.net.gsp.domain(a.name) for a in attrs
+               if ws.net.gsp.domain(a.name) is not None}
+    # each initial field: its argument, else its attribute's initial value
+    known = {a.name: a.initial for a in attrs if a.initial is not None}
+    known.update(args)
+    token = tuple(known[v] if v in known else Unresolved(v)
+                  for v in signatures[method.init_place])
+    initial = {flat_name(method.init_place, "f"): [token]}
     return FlatNet(places=places, transitions=transitions, initial=initial,
                    domains=domains)
 
 
 def flat_goal_places(method) -> set:
-    out = set()
-    for g in method.goal_places:
-        out.add(flat_name(g, "f"))
-        out.add(flat_name(g, "l"))
-    return out
+    return {flat_name(g, side) for g in method.goal_places for side in "fl"}
 
 
 # --- Reachability ----------------------------------------------------------
@@ -360,7 +348,7 @@ def _bind(inputs, toks):
         if len(pattern) != len(tok):
             return None
         for var, value in zip(pattern, tok):
-            if binding.setdefault(var, value) != value:
+            if not same(binding.setdefault(var, value), value):
                 return None
     return binding
 
@@ -380,12 +368,12 @@ class _SuccessorPlan:
         free               its free variables, sorted, for the other path.
     Whether a transition fires, and what its firing does, depends only on
     the tokens of its input places (and on the net's domains), so the memo
-    `firings` keeps each kernel run: it maps (transition index, repr of
-    the tuple of its input places' tokens) to the transition's
-    `_local_firings` at those tokens.  The repr tells the int 1 from the
-    bool True, as the token order does; a no-input transition's key is its
-    index and "()".  `flat_successors` fills the memo, which lives as long
-    as the plan, that is, as its `FlatNet`."""
+    `firings` keeps each kernel run: it maps (transition index, the tuple
+    of its input places' token tuples) to the transition's `_local_firings`
+    at those tokens.  The token tuples are exact (`model.exact`), so the key
+    tells the int 1 from the bool True; a no-input transition's key is its
+    index and ().  `flat_successors` fills the memo, which lives as long as
+    the plan, that is, as its `FlatNet`."""
     kernels: tuple  # per transition, its firing kernel
     by_first_input: dict  # place -> indexes of the transitions it heads
     no_input: tuple  # indexes of the transitions with no input
@@ -454,7 +442,8 @@ def _local_firings(kernel, local, domains) -> tuple:
                           before and after it, an emptied place left out;
         others            (place, tokens) per other place it puts tokens
                           on, sorted by repr, to be merged with the
-                          tokens the place already holds."""
+                          tokens the place already holds;
+    each token tuple made exact."""
     t, rank, places, _, _ = kernel
     removed = tuple(zip(places, local))
     firings = []
@@ -472,21 +461,23 @@ def _local_firings(kernel, local, domains) -> tuple:
                            else (tok,))
         pairs = tuple(sorted(env.items()))
         firings.append(((rank, repr(pairs)), t.name, pairs, removed,
-                        tuple((p, toks) for p, toks in after.items() if toks),
-                        tuple(others.items())))
+                        tuple((p, exact(toks)) for p, toks in after.items()
+                              if toks),
+                        tuple((p, exact(toks)) for p, toks in others.items())))
     return tuple(firings)
 
 
 def flat_successors(flat: FlatNet, marking: frozenset):
-    """All (transition name, binding, successor) triples of a frozen
-    marking, ordered by the transition's natural-order rank, then by the
-    binding's repr; ties keep the transition list's order.  A successor is
-    frozen too: it is built from the parent's token tuples, replacing those
-    of the places the firing touches.  A candidate transition's firings
-    at the tokens of its input places are taken from the plan's memo, or
-    computed by `_local_firings` and stored there; a computation that
-    raises stores nothing.  Only a firing that puts tokens on an already
-    marked place other than its inputs sorts them into that place's."""
+    """All (transition name, binding, successor) triples of `marking`, which
+    `freeze_marking` or this function made, ordered by the transition's
+    natural-order rank, then by the binding's repr; ties keep the
+    transition list's order.  A successor is frozen too: it is built from
+    the parent's token tuples, replacing those of the places the firing
+    touches.  A candidate transition's firings at the tokens of its input
+    places are taken from the plan's memo, or computed by `_local_firings`
+    and stored there; a computation that raises stores nothing.  Only a
+    firing that puts tokens on an already marked place other than its
+    inputs sorts them into that place's."""
     plan = flat.plan
     memo = plan.firings
     tokens = dict(marking)
@@ -499,14 +490,15 @@ def flat_successors(flat: FlatNet, marking: frozenset):
         local = tuple(map(tokens.get, kernel[2]))
         if None in local:  # an unmarked input place
             continue
-        key = (index, repr(local))
+        key = (index, local)
         firings = memo.get(key)
         if firings is None:
             firings = memo[key] = _local_firings(kernel, local, flat.domains)
         for sort_key, name, pairs, removed, added, others in firings:
             marked = [(p, tokens[p]) for p, _ in others if p in tokens]
             if marked:
-                others = [(p, tuple(sorted(tokens[p] + toks, key=repr)))
+                others = [(p, exact(tuple(sorted(tokens[p] + toks,
+                                                 key=repr))))
                           if p in tokens else (p, toks) for p, toks in others]
             results.append((sort_key, (name, pairs, marking.difference(
                 removed, marked).union(added, others))))

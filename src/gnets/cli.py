@@ -25,11 +25,13 @@ EXIT_STEP_LIMIT = 3
 EXIT_TRUNCATED = 4
 
 
+def _registry_dir(args):
+    return args.registry or os.environ.get("GNET_REGISTRY")
+
+
 def _registry(args) -> Registry:
-    directory = args.registry or os.environ.get("GNET_REGISTRY")
-    if directory is None:
-        return Registry()
-    return io.load_registry(directory)
+    directory = _registry_dir(args)
+    return Registry() if directory is None else io.load_registry(directory)
 
 
 def _write_out(args, text):
@@ -48,9 +50,7 @@ def _parse_cli_value(text):
 
 
 def _resolve_method(ws, name):
-    if name:
-        return name
-    return algebra.main_method(ws).name
+    return name or algebra.main_method(ws).name
 
 
 def _load_valid(args):
@@ -71,13 +71,19 @@ def cmd_validate(args):
 
 
 def cmd_compose(args):
+    """Compose a term; with a registry directory, each composite the term
+    nests is saved there as <name>.json unless the registry holds it."""
     reg = _registry(args)
+    held = set(reg.services)
     text = Path(args.expr).read_text()
     ws = dsl.eval_expr(dsl.parse_expr(text), reg)
     report = validate(ws)
     if not report.ok:
         print(report, file=sys.stderr)
         return EXIT_SEMANTIC
+    directory = _registry_dir(args)
+    for name in (reg.services.keys() - held - {ws.name}) if directory else ():
+        io.save_service(reg.services[name], Path(directory) / f"{name}.json")
     if args.out:
         io.save_service(ws, args.out)
     else:

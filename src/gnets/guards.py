@@ -211,6 +211,30 @@ class _Parser(TokenCursor):
             return Var(value)
         raise ParseError(self.here(), f"expected an expression, found {self._show(tok)}")
 
+    def parse_action(self):
+        assigns = []
+        while True:
+            tok = self.peek()
+            if not (isinstance(tok, tuple) and tok[0] == "IDENT"):
+                raise ParseError(self.here(), "expected an assignment target")
+            target = self.next()[1]
+            self.expect(":=")
+            assigns.append(Assign(target, self.parse_expr()))
+            if self.peek() == ";":
+                self.next()
+                if self.peek() == "EOF":  # trailing separator
+                    break
+                continue
+            break
+        return tuple(assigns)
+
+    def parse_inscription(self):
+        exprs = [self.parse_expr()]
+        while self.peek() == ",":
+            self.next()
+            exprs.append(self.parse_expr())
+        return tuple(exprs)
+
     # conditions: or-level, and-level, not-level, atom-level
     def parse_condition(self):
         left = self.parse_and()
@@ -256,54 +280,31 @@ class _Parser(TokenCursor):
         return Atom(left)
 
 
-def parse_condition(text: str) -> Condition:
-    if text.strip() == "":
-        return TRUE
+def _parse(text: str, rule):
+    """`rule` over all of `text`; a too deep nesting is a ParseError."""
     p = _Parser(_tokenize(text))
-    cond = p.parse_condition()
-    p.expect("EOF")
-    return cond
+    try:
+        out = rule(p)
+        p.expect("EOF")
+    except RecursionError:
+        raise ParseError(p.here(), "expression nested too deeply") from None
+    return out
+
+
+def parse_condition(text: str) -> Condition:
+    return _parse(text, _Parser.parse_condition) if text.strip() else TRUE
 
 
 def parse_action(text: str) -> ActionSeq:
-    if text.strip() == "":
-        return ()
-    p = _Parser(_tokenize(text))
-    assigns = []
-    while True:
-        tok = p.peek()
-        if not (isinstance(tok, tuple) and tok[0] == "IDENT"):
-            raise ParseError(p.here(), "expected an assignment target")
-        target = p.next()[1]
-        p.expect(":=")
-        assigns.append(Assign(target, p.parse_expr()))
-        if p.peek() == ";":
-            p.next()
-            if p.peek() == "EOF":  # trailing separator
-                break
-            continue
-        break
-    p.expect("EOF")
-    return tuple(assigns)
+    return _parse(text, _Parser.parse_action) if text.strip() else ()
 
 
 def parse_inscription(text: str) -> Inscription:
-    if text.strip() == "":
-        return ()
-    p = _Parser(_tokenize(text))
-    exprs = [p.parse_expr()]
-    while p.peek() == ",":
-        p.next()
-        exprs.append(p.parse_expr())
-    p.expect("EOF")
-    return tuple(exprs)
+    return _parse(text, _Parser.parse_inscription) if text.strip() else ()
 
 
 def parse_expr(text: str) -> Expr:
-    p = _Parser(_tokenize(text))
-    e = p.parse_expr()
-    p.expect("EOF")
-    return e
+    return _parse(text, _Parser.parse_expr)
 
 
 # --- Printing --------------------------------------------------------------

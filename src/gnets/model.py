@@ -269,23 +269,43 @@ class WebService:
         return self.component_services == frozenset({self.name})
 
 
-@dataclass(frozen=True)
-class Token:
-    fields: tuple = ()  # tuple[(name, value), ...], sorted by name
+class _Exact(tuple):
+    """A tuple holding a bool: it hashes as a tuple, but equals only a
+    tuple of the same repr, which it caches as `text`."""
 
-    @staticmethod
-    def make(fields: dict):
-        return Token(tuple(sorted(fields.items())))
+    __hash__ = tuple.__hash__
 
-    def field_map(self):
-        return dict(self.fields)
+    def __eq__(self, other):
+        return isinstance(other, tuple) and self.text == (
+            other.text if type(other) is _Exact else repr(other))
+
+    def __ne__(self, other):
+        return not self == other
 
 
-def freeze_marking(marking: dict, token_key=repr) -> frozenset:
-    """A marking's identity: the frozenset of (place, tokens sorted by
-    `token_key`) pairs of its marked places, whatever the order of places
-    and tokens."""
-    return frozenset((p, tuple(sorted(toks, key=token_key)))
+def exact(values: tuple) -> tuple:
+    """`values` under the value rule: two values (ints, bools, strs and
+    tuples of them) are the same when they have the same type and are equal,
+    that is, when their reprs are equal; values sort by repr.  As `==` makes
+    1 equal True, a tuple holding a bool is returned as an `_Exact`."""
+    text = repr(values)
+    if "True" in text or "False" in text:
+        values = tuple.__new__(_Exact, values)
+        values.text = text
+    return values
+
+
+def same(a, b) -> bool:
+    """Whether the values `a` and `b` are the same under the value rule."""
+    return a is b or (a == b and repr(a) == repr(b))
+
+
+def freeze_marking(marking: dict) -> frozenset:
+    """A marking's identity: the frozenset of (place, tokens sorted by repr
+    and made exact) pairs of its marked places, whatever the order of
+    places and tokens."""
+    return frozenset((p, exact(tuple(sorted(toks, key=repr)) if len(toks) > 1
+                               else tuple(toks)))
                      for p, toks in marking.items() if toks)
 
 

@@ -2,11 +2,13 @@
 through ISP places, and policy-driven runs.
 
 States are values; every step function returns a new state.  A token is its
-fields.  Putting a token on an ISP place runs the invoked method to
-completion inside the same step (`init_state` or `fire`): the place receives
-the token the call returns, and the call's events follow the event of the
-firing that put the token.  A call that stops short of its goal raises
-`SubnetDeadlock` with its outcome, partial trace and final marking.
+fields: the tuple of its (field, value) pairs sorted by name and made exact
+(`model.exact`), as a state's env and a fired binding are.  Putting a token
+on an ISP place runs the invoked method to completion inside the same step
+(`init_state` or `fire`): the place receives the token the call returns,
+and the call's events follow the event of the firing that put the token.  A
+call that stops short of its goal raises `SubnetDeadlock` with its outcome,
+partial trace and final marking.
 
 The first `enabled` or `fire` on a structure compiles it into a plan kept on
 the structure (`_Plan`): what each transition reads and writes, and an index
@@ -18,15 +20,15 @@ services sharing a structure may declare differently.
 A call that draws no random choice is a function of its inputs, so each
 registry keeps a call memo (`_CallMemo`), made by its first `run` or ISP
 call and never copied: `Registry.copy()` starts with none.  Its key is the
-invoked service and method, `repr` of the arguments (the int 1 and the
-bool True stay apart), the caller's depth and the config's `policy`,
-`depth_limit` and `max_steps`, but not its `seed`.  Its value is the fields
-the call's goal tokens add to the ISP token and the call's trace.  A call
-is stored when it reaches its goal and no step of it, nested calls
-included, drew a random choice (`run` counts its draws on the memo); a call
-that draws, or raises, is never stored.  The memo holds because
-`Registry.insert` never changes what a name means and every nested call
-has a step budget of its own.
+invoked service and method, the tuple of the arguments made exact (the int
+1 and the bool True stay apart), the caller's depth and the config's
+`policy`, `depth_limit` and `max_steps`, but not its `seed`.  Its value is
+the fields the call's goal tokens add to the ISP token and the call's
+trace.  A call is stored when it reaches its goal and no step of it, nested
+calls included, drew a random choice (`run` counts its draws on the memo);
+a call that draws, or raises, is never stored.  The memo holds because
+`Registry.insert` never changes what a name means and every nested call has
+a step budget of its own.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from . import guards
 from .errors import (ArityMismatch, DepthLimitExceeded, NotEnabled,
                      SubnetDeadlock, UnboundFreeVariable, UnknownMethod,
                      UnknownService)
-from .model import (PlaceKind, Registry, Token, WebService, freeze_marking,
-                    natural_key)
+from .model import (PlaceKind, Registry, WebService, exact, freeze_marking,
+                    natural_key, same)
 
 GOAL, DEADLOCK, STEP_LIMIT = "Goal", "Deadlock", "StepLimit"
 POLICIES = ("det", "random")
@@ -73,27 +75,17 @@ class FiringEvent:
 class SimState:
     ws: WebService
     method_name: str
-    marking: frozenset  # freeze_marking of pid -> [Token]
-    env: tuple  # tuple[(name, value), ...]
+    marking: frozenset  # freeze_marking of pid -> [token]
+    env: tuple  # _freeze of name -> value
     trace: tuple = ()
     depth: int = 0
     registry: Registry = None
     config: SimConfig = SimConfig()
 
-    def marking_map(self):
-        return {pid: toks for pid, toks in self.marking}
 
-    def env_map(self):
-        return dict(self.env)
-
-
-def _fields_repr(token: Token) -> str:
-    """The sort key of the tokens of one place in a frozen marking."""
-    return repr(token.fields)
-
-
-def _freeze_env(env: dict) -> tuple:
-    return tuple(sorted(env.items()))
+def _freeze(pairs: dict) -> tuple:
+    """A token, an env or a binding: its pairs sorted by name, made exact."""
+    return exact(tuple(sorted(pairs.items())))
 
 
 def check_arity(ws: WebService, method, args):
@@ -113,17 +105,16 @@ def init_state(ws: WebService, method_name: str, args=(), registry=None,
         raise UnknownMethod(ws.name, method_name)
     check_arity(ws, method, args)
     fields = {pname: value for (pname, _), value in zip(method.params, args)}
-    init, token = method.init_place, Token.make(fields)
+    init, token = method.init_place, _freeze(fields)
     env = {a.name: a.initial for a in ws.net.gsp.attributes
            if a.initial is not None}
     state = SimState(ws=ws, method_name=method_name,
-                     marking=freeze_marking({init: [token]}, _fields_repr),
-                     env=_freeze_env(env), depth=depth, registry=registry,
+                     marking=freeze_marking({init: [token]}),
+                     env=_freeze(env), depth=depth, registry=registry,
                      config=config)
     if ws.net.internal.place_map[init].kind is PlaceKind.ISP:
         token, events = invoke_isp(state, init, token)
-        state = replace(state,
-                        marking=freeze_marking({init: [token]}, _fields_repr),
+        state = replace(state, marking=freeze_marking({init: [token]}),
                         trace=events)
     return state
 
@@ -210,17 +201,17 @@ def _match_pattern(names, token, binding, env):
     from the token's like-named field, then from the frame env, then
     positionally; anything still unresolved is handled by the domain
     fallback later."""
-    fields = dict(token.fields)
+    fields = dict(token)
     out = dict(binding)
-    positional_ok = len(names) == len(token.fields)
+    positional_ok = len(names) == len(token)
     for i, name in enumerate(names):
         if name in fields:
             value = fields[name]
         elif positional_ok and name not in out and name not in env:
-            value = token.fields[i][1]
+            value = token[i][1]
         else:
             continue  # resolved from the frame env or a domain later
-        if name in out and out[name] != value:
+        if name in out and not same(out[name], value):
             return None
         out[name] = value
     return out
@@ -256,7 +247,7 @@ def _bindings(step: _Step, marking: dict, env: dict, gsp):
             if merged is None:
                 merged = {}
                 for _, token in combo:
-                    merged.update(token.fields)
+                    merged.update(token)
             if name in merged:
                 binding[name] = merged[name]
                 continue
@@ -296,23 +287,17 @@ def enabled(state: SimState):
 
 # --- Firing ----------------------------------------------------------------
 
-def _same_binding(found: dict, wanted: dict) -> bool:
-    """Equal names and values of equal types: the int 1 and the bool True
-    are different values."""
-    return found == wanted and all(type(v) is type(wanted[k])
-                                   for k, v in found.items())
-
-
 def fire(state: SimState, tid: str, binding: dict) -> SimState:
-    wanted = dict(binding)
     step = _plan(state.ws.net.internal).by_tid.get(tid)
     marking, env, gsp = dict(state.marking), dict(state.env), state.ws.net.gsp
     found = None
     if step is not None:
         found = next((pair for pair in _bindings(step, marking, env, gsp)
-                      if _same_binding(pair[0], wanted)), None)
+                      if pair[0] == binding and all(
+                          same(v, binding[k]) for k, v in pair[0].items())),
+                     None)
     if found is None:
-        raise NotEnabled(f"{tid} with binding {wanted!r}")
+        raise NotEnabled(f"{tid} with binding {dict(binding)!r}")
     binding, combo = found
 
     attrs = {a.name for a in gsp.attributes}
@@ -323,17 +308,16 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
             raise guards.UnboundVariable(assign.target)
     scope2 = guards.eval_action(actions, scope)
     assigned = {a.target for a in actions}
-    new_env = dict(env)
-    for name in attrs:
-        if name in scope2 and (name in new_env or name in assigned):
-            new_env[name] = scope2[name]
+    # the env changes only where an action or the binding sets an attribute
+    new_env = state.env if not assigned and env.keys().isdisjoint(binding) \
+        else _freeze({n: scope2[n] for n in env.keys() | (assigned & attrs)})
 
     consumed_log, merged = [], {}
     for (pid, _), (i, token) in zip(step.inputs, combo):
         toks = marking[pid]
         marking[pid] = toks[:i] + toks[i + 1:]
-        consumed_log.append((pid, token.fields))
-        merged.update(token.fields)
+        consumed_log.append((pid, token))
+        merged.update(token)
     for name in assigned:
         if name in merged:
             merged[name] = scope2[name]
@@ -341,19 +325,18 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
     produced_log = []
     calls = ()
     for q, fields, is_isp in step.outputs:
-        token = Token.make(dict(merged) if fields is None else {
+        token = _freeze(merged if fields is None else {
             name: guards.eval_expr(expr, scope2) for name, expr in fields})
-        produced_log.append((q, token.fields))
+        produced_log.append((q, token))
         if is_isp:
             token, events = invoke_isp(state, q, token)
             calls += events
         marking[q] = marking.get(q, ()) + (token,)
 
-    event = FiringEvent(state.depth, tid, tuple(sorted(binding.items())),
+    event = FiringEvent(state.depth, tid, _freeze(binding),
                         tuple(consumed_log), tuple(produced_log))
-    return SimState(state.ws, state.method_name,
-                    freeze_marking(marking, _fields_repr),
-                    _freeze_env(new_env), state.trace + (event,) + calls,
+    return SimState(state.ws, state.method_name, freeze_marking(marking),
+                    new_env, state.trace + (event,) + calls,
                     state.depth, state.registry, state.config)
 
 
@@ -376,7 +359,7 @@ def _call_memo(registry: Registry) -> _CallMemo:
     return memo
 
 
-def invoke_isp(state: SimState, pid: str, token: Token):
+def invoke_isp(state: SimState, pid: str, token: tuple):
     """Run the call that `token` makes as it is put on the ISP place `pid`
     of `state`'s net.  Returns the token the call returns, which carries the
     method's goal fields over the call's own, and the call's events.  A
@@ -393,7 +376,7 @@ def invoke_isp(state: SimState, pid: str, token: Token):
     if method is None:
         raise UnknownMethod(svc.name, place.using_method)
 
-    fields = token.field_map()
+    fields = dict(token)
     args = []
     for pname, _ in method.params:
         if pname not in fields:
@@ -403,8 +386,8 @@ def invoke_isp(state: SimState, pid: str, token: Token):
         args.append(fields[pname])
 
     config, memo = state.config, _call_memo(state.registry)
-    key = (svc.name, method.name, repr(args), state.depth, config.policy,
-           config.depth_limit, config.max_steps)
+    key = (svc.name, method.name, exact(tuple(args)), state.depth,
+           config.policy, config.depth_limit, config.max_steps)
     result = memo.results.get(key)
     if result is None:
         draws = memo.draws
@@ -415,16 +398,16 @@ def invoke_isp(state: SimState, pid: str, token: Token):
             raise SubnetDeadlock(
                 f"invoked method {svc.name}.{method.name} reached no goal "
                 f"({outcome})", outcome, sub.trace, sub.marking)
-        sub_marking, added = sub.marking_map(), {}
+        sub_marking, added = dict(sub.marking), {}
         for g in sorted(method.goal_places, key=natural_key):
             for tok in sub_marking.get(g, ()):
-                added.update(tok.fields)
+                added.update(tok)
         result = added, sub.trace
         if memo.draws == draws:
             memo.results[key] = result
     added, trace = result
     fields.update(added)
-    return Token.make(fields), trace
+    return _freeze(fields), trace
 
 
 # --- Runs ------------------------------------------------------------------
@@ -458,9 +441,7 @@ def run(state: SimState):
         else:
             tid, binding = choices[0]
         state = fire(state, tid, binding)
-    if _at_goal(state, goals):
-        return state, GOAL
-    return state, STEP_LIMIT
+    return state, GOAL if _at_goal(state, goals) else STEP_LIMIT
 
 
 def format_trace(state: SimState):

@@ -172,3 +172,24 @@ def mixed_values_service():
     return WebService(name="Mixed", desc="an int and a str on one place",
                       component_services=frozenset({"Mixed"}),
                       net=GNetModel(GspSpec(methods=(method,)), struct))
+
+
+def one_or_true_service():
+    """t0 puts the int 1 on p1 and a black token on pc; t1 then puts a
+    second 1 on p1 and t2 the bool true: two markings that differ only in
+    the type of one value."""
+    struct = InternalStructure(
+        places=(Place("p0"), Place("pc"), Place("p1"),
+                Place("p2", PlaceKind.GOAL)),
+        transitions=("t0", "t1", "t2"),
+        arcs=(("p0", "t0"), ("t0", "p1"), ("t0", "pc"), ("pc", "t1"),
+              ("t1", "p1"), ("pc", "t2"), ("t2", "p1")),
+        inscriptions=((("t0", "p1"), _ins("1")), (("t1", "p1"), _ins("1")),
+                      (("t2", "p1"), _ins("true"))),
+        labels=(("p0", OpLabel("fork")), ("pc", OpLabel("pick")),
+                ("p1", OpLabel("hold")), ("p2", GOAL)),
+    )
+    method = MethodSpec("Pick", "", (), "p0", frozenset({"p2"}))
+    return WebService(name="OneOrTrue", desc="1 or true next to a 1",
+                      component_services=frozenset({"OneOrTrue"}),
+                      net=GNetModel(GspSpec(methods=(method,)), struct))

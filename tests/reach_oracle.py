@@ -4,7 +4,8 @@ Deliberately naive: no frontier queue, no incremental bookkeeping.  Every
 pass recomputes the one-step successors of every known marking and the loop
 stops when a pass adds nothing new.  Only the guard evaluator is shared with
 the library; the enabling and firing logic here is written from scratch
-against the flat-net structure.
+against the flat-net structure.  Values follow a rule of its own: two are
+the same when their reprs are, so the int 1 and the bool True are apart.
 """
 
 from itertools import product
@@ -13,17 +14,18 @@ from gnets import guards
 
 
 def canon(marking):
-    """A hashable normal form: empty places dropped, tokens sorted."""
+    """A hashable normal form: empty places dropped, each token paired with
+    its repr and the pairs sorted."""
     items = []
     for place in sorted(marking):
-        tokens = tuple(sorted(marking[place], key=repr))
+        tokens = tuple(sorted((repr(tok), tok) for tok in marking[place]))
         if tokens:
             items.append((place, tokens))
     return tuple(items)
 
 
 def _thaw(key):
-    return {place: list(tokens) for place, tokens in key}
+    return {place: [tok for _, tok in tokens] for place, tokens in key}
 
 
 def _bindings_for(transition, chosen, domains):
@@ -33,7 +35,7 @@ def _bindings_for(transition, chosen, domains):
         if len(pattern) != len(token):
             return
         for var, value in zip(pattern, token):
-            if var in binding and binding[var] != value:
+            if var in binding and repr(binding[var]) != repr(value):
                 return
             binding[var] = value
     free = set(guards.condition_vars(transition.gate))
@@ -56,26 +58,21 @@ def _one_step(flat, marking):
     for t in flat.transitions:
         pools = []
         for place, _ in t.inputs:
-            pools.append(list(marking.get(place, [])))
+            pools.append(range(len(marking.get(place, []))))
         if any(not pool for pool in pools):
             continue
-        for chosen in product(*pools):
+        for picked in product(*pools):
             # the same token may not be picked twice from one place
-            used = {}
-            overdrawn = False
-            for (place, _), token in zip(t.inputs, chosen):
-                used.setdefault((place, token), 0)
-                used[(place, token)] += 1
-                if used[(place, token)] > marking[place].count(token):
-                    overdrawn = True
-            if overdrawn:
+            taken = [(place, i) for (place, _), i in zip(t.inputs, picked)]
+            if len(set(taken)) < len(taken):
                 continue
+            chosen = [marking[place][i] for place, i in taken]
             for binding in _bindings_for(t, chosen, flat.domains):
                 if not guards.eval_condition(t.gate, binding):
                     continue
-                succ = {p: list(toks) for p, toks in marking.items()}
-                for (place, _), token in zip(t.inputs, chosen):
-                    succ[place].remove(token)
+                succ = {p: [tok for i, tok in enumerate(toks)
+                            if (p, i) not in taken]
+                        for p, toks in marking.items()}
                 for place, exprs in t.outputs:
                     succ.setdefault(place, []).append(
                         tuple(guards.eval_expr(e, binding) for e in exprs))

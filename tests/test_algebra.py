@@ -116,6 +116,25 @@ class TestDiscriminator:
         with pytest.raises(EmptyBranchSet):
             algebra.discriminator([], s1)
 
+    @pytest.mark.parametrize("racers", ["a", "a, b", "a, b, c"])
+    def test_token_game_runs_each_operand_once(self, racers):
+        """Every complete run of disc(racers; d) runs each racer and the
+        continuation d once, and ends with one goal token per racer: the
+        continuation's and each late racer's."""
+        reg = test_acceptance.make_registry()
+        service = analysis.inline_isps(test_acceptance.compose(
+            f"disc({racers}; d)", reg), reg).service
+        graph = analysis.explore_service(service)
+        ops = sorted(f"op-{name}" for name in racers.split(", ") + ["d"])
+        words = analysis.label_language(graph, op_letters(service))
+        assert words and all(sorted(word) == ops for word in words)
+        goals = algebra.main_method(service).goal_places
+        ends = [dict(graph.marking_of(state))
+                for state, out in graph.out.items() if not out]
+        assert ends and all(
+            sum(len(marking.get(g, ())) for g in goals) == len(ops) - 1
+            for marking in ends)
+
 
 class TestSelection:
     def test_counts(self, s1, s2, s3):
@@ -280,17 +299,21 @@ SUBTERMS = st.builds("{}({}, {})".format,
                      st.sampled_from(test_acceptance.LEAVES))
 
 
-def op_language(text, reg):
-    """The label language of a term's token game: a transition's letters
-    are the operation labels of the places it consumes."""
-    service = analysis.inline_isps(test_acceptance.compose(text, reg),
-                                   reg).service
+def op_letters(service):
+    """The `label_language` letters of a token-game edge of `service`: the
+    operation labels of the places its transition consumes."""
     struct = service.net.internal
     labels = struct.label_map
-    return analysis.label_language(
-        analysis.explore_service(service),
-        lambda tid: tuple(labels[p].name for p in struct.pre(tid)
-                          if isinstance(labels.get(p), OpLabel)))
+    return lambda tid: tuple(labels[p].name for p in struct.pre(tid)
+                             if isinstance(labels.get(p), OpLabel))
+
+
+def op_language(text, reg):
+    """The label language of a term's token game."""
+    service = analysis.inline_isps(test_acceptance.compose(text, reg),
+                                   reg).service
+    return analysis.label_language(analysis.explore_service(service),
+                                   op_letters(service))
 
 
 class TestLaws:

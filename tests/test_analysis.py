@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import reach_oracle
 import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
-                      gated_false_service, treat_command_block,
-                      treat_command_service)
+                      gated_false_service, one_or_true_service,
+                      treat_command_block, treat_command_service)
 from gnets import algebra, analysis, dsl, guards, prod
 from gnets.errors import (DepthLimitExceeded, GnetError, UnboundFreeVariable,
                           UnflattenableIsp)
@@ -209,7 +209,7 @@ class TestReachability:
     def test_memo_tells_int_from_bool_tokens(self):
         """((1, 1), (1, 1)) and ((1, 1), (1, True)) are equal tuples, so a
         firing memo keyed on them would fire the second marking as the
-        first: once, where (x, x) binds each of its two tokens."""
+        first; (x, x) binds (1, 1) but not (1, True)."""
         make = analysis.FlatTransition(
             "t_make", (), (("p2", (guards.Lit(1), guards.Var("e"))),))
         eat = analysis.FlatTransition(
@@ -223,7 +223,7 @@ class TestReachability:
         assert memoized == [
             exact(analysis.flat_successors(dataclasses.replace(flat), m))
             for m in markings]
-        assert [len(succs) for succs in memoized] == [3, 4]
+        assert [len(succs) for succs in memoized] == [3, 3]
 
     def test_warm_memo_explores_alike(self):
         """A second exploration of a net, which finds every firing in the
@@ -251,14 +251,14 @@ class TestReachability:
 def reference_bind(inputs, toks):
     """The binding of each input's pattern to its token, or None: every
     token has its pattern's arity, a variable takes the first value it
-    meets, and each later value of it equals that one."""
+    meets, and each later value of it has that one's repr."""
     if any(len(pattern) != len(tok)
            for (_, pattern), tok in zip(inputs, toks)):
         return None
     pairs = [pair for (_, pattern), tok in zip(inputs, toks)
              for pair in zip(pattern, tok)]
     binding = dict(reversed(pairs))
-    if all(binding[var] == value for var, value in pairs):
+    if all(repr(binding[var]) == repr(value) for var, value in pairs):
         return binding
     return None
 
@@ -302,9 +302,7 @@ def full_scan_successors(flat, marking):
                     tok = tuple(guards.eval_expr(e, full) for e in exprs)
                     toks = touched.get(pname, tokens.get(pname, ()))
                     touched[pname] = tuple(sorted(toks + (tok,), key=repr))
-                succ = marking.difference(
-                    (p, tokens[p]) for p in touched if p in tokens).union(
-                    (p, toks) for p, toks in touched.items() if toks)
+                succ = freeze_marking({**tokens, **touched})
                 results.append((t.name, tuple(sorted(full.items())), succ))
     results.sort(key=lambda r: (natural_key(r[0]), repr(r[1])))
     return results
@@ -652,6 +650,51 @@ class TestExploreService:
         assert len(graph.nodes) == 4
 
 
+class TestExactValues:
+    """The int 1 and the bool True are different values: a place holding
+    {(1,), (True,)} and one holding {(1,), (1,)} are different states in
+    the flat engine, the oracle and the token-game explorer alike."""
+
+    def one_or_true_flat(self):
+        one, true = guards.Lit(1), guards.Lit(True)
+        transition = analysis.FlatTransition
+        return analysis.FlatNet(
+            places={}, domains={}, initial={"s": [()]}, transitions=[
+                transition("t0", (("s", ()),), (("a", (one,)), ("c", ()))),
+                transition("t1", (("c", ()),), (("a", (one,)),)),
+                transition("t2", (("c", ()),), (("a", (true,)),))])
+
+    def test_flat_engine_and_oracle(self):
+        flat = self.one_or_true_flat()
+        graph = analysis.reachability(flat)
+        ones = freeze_marking({"a": [(1,), (1,)]})
+        mixed = freeze_marking({"a": [(True,), (1,)]})
+        assert ones in graph.out and mixed in graph.out
+        assert len(graph.out) == 4 and len(graph.edges) == 3
+        expected = reach_oracle.reachable_markings(flat, flat.initial)
+        assert len(expected) == 4 and engine_nodes(graph) == expected
+
+    def test_explore_service(self):
+        graph = analysis.explore_service(one_or_true_service())
+        markings = {marking for marking, _ in graph.out}
+        one, true = (("_1", 1),), (("_1", True),)
+        assert freeze_marking({"p1": [one, one]}) in markings
+        assert freeze_marking({"p1": [one, true]}) in markings
+        assert len(graph.out) == 4
+
+    def test_one_token_moved_next_to_true(self):
+        """a: [(True,), (1,)] feeding t: a(x) -> b(x) reaches four
+        markings, each a different one."""
+        flat = analysis.FlatNet(
+            places={}, domains={}, initial={"a": [(True,), (1,)]},
+            transitions=[analysis.FlatTransition(
+                "t", (("a", ("x",)),), (("b", (guards.Var("x"),)),))])
+        graph = analysis.reachability(flat)
+        assert len(graph.out) == 4 and len(graph.edges) == 4
+        expected = reach_oracle.reachable_markings(flat, flat.initial)
+        assert len(expected) == 4 and engine_nodes(graph) == expected
+
+
 class TestAnalyzeReport:
     def test_witness_is_shortest(self):
         ws = book_order_service()
@@ -700,7 +743,7 @@ class TestAnalyzeReport:
         graph = analysis.explore_service(gated_false_service(), "Never")
         report = analysis.analyze(graph, set())
         assert report.to_text().splitlines()[-1] == (
-            "deadlock: (('p1', (Token(fields=()),)),)")
+            "deadlock: (('p1', ((),)),)")
 
 
 def assert_shortest_witness(graph, goal_places):

@@ -118,6 +118,22 @@ class TestValidate:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["validate"],
+                                         ["simulate", "--args", "1"]])
+    def test_over_deep_guard_exit_2(self, tmp_path, capsys, command):
+        """T1's guard inside 1500 parentheses: deeper than the parser can
+        go, so a parse error."""
+        doc = io.service_to_dict(book_order_service())
+        for cond in doc["net"]["is"]["conditions"]:
+            if cond["transition"] == "T1":
+                cond["text"] = "(" * 1500 + cond["text"] + ")" * 1500
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at ")
+        assert err.endswith(": expression nested too deeply\n")
+
     def test_duplicate_arc_exit_1(self, doubled_arc_path, capsys):
         assert main(["validate", str(doubled_arc_path)]) == 1
         assert "duplicate-arc" in capsys.readouterr().out
@@ -184,6 +200,32 @@ class TestCompose:
         err = capsys.readouterr().err
         assert err.startswith("error: at ")
         assert err.endswith(": term nested too deeply\n")
+
+    @pytest.mark.parametrize("command", [["analyze"], ["simulate"]])
+    def test_nested_term_runs(self, tmp_path, registry_dir, capsys,
+                              command):
+        """The composites a term nests are saved into the registry, so
+        its output runs over that registry."""
+        out = tmp_path / "nested.json"
+        assert main(["compose", str(compose_file(tmp_path,
+                                                 "seq(par(a, b), a)")),
+                     "--registry", str(registry_dir), "--out", str(out)]) == 0
+        assert (registry_dir / "Par(a,b).json").exists()
+        assert not (registry_dir / "Seq(Par(a,b),a).json").exists()
+        assert main([command[0], str(out), "--registry",
+                     str(registry_dir)]) == 0
+
+    def test_registry_holdings_not_saved_again(self, tmp_path, registry_dir):
+        before = {p: p.read_text() for p in registry_dir.iterdir()}
+        main(["compose", str(compose_file(tmp_path, "par(a, b)")),
+              "--registry", str(registry_dir),
+              "--out", str(registry_dir / "par.json")])
+        main(["compose", str(compose_file(tmp_path, "seq(par(a, b), a)")),
+              "--registry", str(registry_dir),
+              "--out", str(tmp_path / "nested.json")])
+        after = {p: p.read_text() for p in registry_dir.iterdir()}
+        assert set(after) - set(before) == {registry_dir / "par.json"}
+        assert all(after[p] == text for p, text in before.items())
 
     def test_registry_from_environment(self, tmp_path, registry_dir,
                                        monkeypatch, capsys):

@@ -11,9 +11,9 @@ from gnets.errors import DuplicateService, UnknownBlock, UnknownService
 from gnets.guards import Lit, Var
 from gnets.model import (GOAL, TAU, AttributeSpec, BlockFragment, GNetModel,
                          GspSpec, InternalStructure, IspRef, MethodSpec,
-                         OpLabel, Place, PlaceKind, Registry, Token,
-                         WebService, apart, freeze_marking, natural_key,
-                         rename_apart, validate)
+                         OpLabel, Place, PlaceKind, Registry, WebService,
+                         apart, exact, freeze_marking, natural_key,
+                         rename_apart, same, validate)
 from test_dsl import make_registry, terms
 
 
@@ -307,17 +307,47 @@ class TestRegistry:
         assert "B" not in reg.services
 
 
-class TestToken:
-    def test_make_sorts_fields(self):
-        t = Token.make({"b": 1, "a": 2})
-        assert t.fields == (("a", 2), ("b", 1))
-        assert t.field_map() == {"a": 2, "b": 1}
-
+class TestWebService:
     def test_is_basic(self):
         assert algebra.atomic("A", "op").is_basic
         composed = algebra.sequence(algebra.atomic("A", "op"),
                                     algebra.atomic("B", "op"))
         assert not composed.is_basic
+
+
+VALUES = st.recursive(st.one_of(st.integers(-2, 2), st.booleans(),
+                                st.sampled_from(("", "a", "True"))),
+                      lambda inner: st.lists(inner, max_size=3).map(tuple),
+                      max_leaves=6)
+
+
+class TestValueRule:
+    """Two values are the same when they have the same type and are
+    equal; `exact` makes a tuple's equality follow that rule."""
+
+    @given(st.lists(VALUES, max_size=3).map(tuple),
+           st.lists(VALUES, max_size=3).map(tuple))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_equality_is_repr_equality(self, a, b):
+        left, right = exact(a), exact(b)
+        for x, y in ((left, right), (left, b), (a, right)):
+            assert (x == y) is (repr(a) == repr(b))
+            assert (x != y) is (repr(a) != repr(b))
+        assert same(a, b) is (repr(a) == repr(b))
+        if a == b:
+            assert hash(left) == hash(right)
+        assert repr(left) == repr(a) and tuple(left) == a
+
+    def test_tuple_without_a_bool_is_unchanged(self):
+        values = (1, "a", (2,))
+        assert exact(values) is values
+
+    def test_int_one_and_bool_true_apart(self):
+        assert not same(1, True) and not same(0, False)
+        assert exact((1,)) != exact((True,))
+        assert exact((True,)) != (1,) and (1,) != exact((True,))
+        assert {exact((1,)): "int"}.get(exact((True,))) is None
+        assert exact((True,)) == (True,)
 
 
 class TestFreezeMarking:
@@ -328,13 +358,15 @@ class TestFreezeMarking:
         assert hash(a) == hash(b)
         assert dict(a) == {"p1": ((1,), (2,)), "p10": ((),)}
 
-    def test_tokens_sorted_by_key(self):
-        frozen = freeze_marking({"p": ["bb", "a", "c"]}, token_key=len)
-        assert dict(frozen) == {"p": ("a", "c", "bb")}
-
     def test_int_and_bool_tokens_are_both_kept(self):
         assert dict(freeze_marking({"p": [(True,), (1,)]})) == {
             "p": ((1,), (True,))}
+
+    def test_int_and_bool_tokens_tell_markings_apart(self):
+        ones = freeze_marking({"p": [(1,), (1,)]})
+        mixed = freeze_marking({"p": [(True,), (1,)]})
+        assert ones != mixed and len({ones, mixed}) == 2
+        assert mixed == freeze_marking({"p": [(1,), (True,)]})
 
     def test_empty_marking(self):
         assert freeze_marking({"p": []}) == frozenset()
