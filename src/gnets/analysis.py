@@ -554,8 +554,8 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
     queue = deque([(graph.initial, state0)])
     while queue:
         key, state = queue.popleft()
-        for tid, binding in sim.enabled(state):
-            succ = sim.fire(state, tid, binding)
+        for firing in sim.enabled(state):
+            succ = sim.fire(firing)
             skey = (succ.marking, succ.env)
             if skey not in out:
                 if len(out) >= max_states:
@@ -564,7 +564,8 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
                 out[skey] = []
                 queue.append((skey, succ))
             out[key].append(len(edges))
-            edges.append((key, tid, tuple(sorted(binding.items())), skey))
+            edges.append((key, firing.transition,
+                          tuple(sorted(firing.binding.items())), skey))
     return graph
 
 

@@ -71,10 +71,6 @@ class EmptyReplacement(GnetError):
     pass
 
 
-class NotEnabled(GnetError):
-    pass
-
-
 class DepthLimitExceeded(GnetError):
     pass
 

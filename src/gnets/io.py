@@ -24,11 +24,18 @@ _KINDS = {k.value: k for k in PlaceKind}
 
 
 def _name(value, optional=False):
-    """`value`, a name or id, which must be a JSON string (or null when
-    `optional`)."""
+    """`value`, a name, id or value type, which must be a JSON string (or
+    null when `optional`)."""
     if type(value) is str or (optional and value is None):
         return value
-    raise ParseError(0, f"a name or id must be a string, not {value!r}")
+    raise ParseError(0, f"expected a string, not {value!r}")
+
+
+def _list(value):
+    """`value`, which must be a JSON array (or a default tuple)."""
+    if type(value) in (list, tuple):
+        return value
+    raise ParseError(0, f"expected a list, not {value!r}")
 
 
 def _label_to_dict(label):
@@ -84,7 +91,7 @@ def _structure_to_dict(struct: InternalStructure) -> dict:
 
 def _structure_from_dict(d: dict) -> InternalStructure:
     places = []
-    for pd in d.get("places", ()):
+    for pd in _list(d.get("places", ())):
         kind = _KINDS.get(pd.get("kind", "normal"))
         if kind is None:
             raise ParseError(0, f"unknown place kind {pd.get('kind')!r}")
@@ -94,21 +101,22 @@ def _structure_from_dict(d: dict) -> InternalStructure:
             using_method=_name(pd.get("usingMethod"), optional=True)))
     return InternalStructure(
         places=tuple(places),
-        transitions=tuple(map(_name, d.get("transitions", ()))),
-        arcs=tuple((_name(a), _name(b)) for a, b in d.get("arcs", ())),
+        transitions=tuple(map(_name, _list(d.get("transitions", ())))),
+        arcs=tuple((_name(a), _name(b))
+                   for a, b in map(_list, _list(d.get("arcs", ())))),
         inscriptions=tuple(
             ((_name(i["src"]), _name(i["tgt"])),
              guards.parse_inscription(i["fields"]))
-            for i in d.get("inscriptions", ())),
+            for i in _list(d.get("inscriptions", ()))),
         conditions=tuple(
             (_name(c["transition"]), guards.parse_condition(c["text"]))
-            for c in d.get("conditions", ())),
+            for c in _list(d.get("conditions", ()))),
         actions=tuple(
             (_name(a["transition"]), guards.parse_action(a["text"]))
-            for a in d.get("actions", ())),
+            for a in _list(d.get("actions", ()))),
         labels=tuple(
             (_name(ld["place"]), _label_from_dict(ld))
-            for ld in d.get("labels", ())),
+            for ld in _list(d.get("labels", ()))),
     )
 
 
@@ -160,22 +168,22 @@ def service_from_dict(d: dict) -> WebService:
         methods = tuple(
             MethodSpec(_name(m["name"]), m.get("description", ""),
                        tuple((_name(p["name"]), p.get("description", ""))
-                             for p in m.get("params", ())),
+                             for p in _list(m.get("params", ()))),
                        _name(m["initPlace"]),
-                       frozenset(map(_name, m["goalPlaces"])))
-            for m in gsp_d.get("methods", ()))
+                       frozenset(map(_name, _list(m["goalPlaces"]))))
+            for m in _list(gsp_d.get("methods", ())))
         attributes = tuple(
-            AttributeSpec(_name(a["name"]), a["valueType"], a.get("initial"),
-                          tuple(a["domain"]) if a.get("domain") is not None
-                          else None)
-            for a in gsp_d.get("attributes", ()))
+            AttributeSpec(_name(a["name"]), _name(a["valueType"]),
+                          a.get("initial"), tuple(_list(a["domain"]))
+                          if a.get("domain") is not None else None)
+            for a in _list(gsp_d.get("attributes", ())))
         return WebService(
             name=_name(d["name"]),
             desc=d.get("desc", ""),
             loc=d.get("loc"),
             url=d.get("url"),
-            component_services=frozenset(map(_name, d.get(
-                "componentServices", [d["name"]]))),
+            component_services=frozenset(map(_name, _list(d.get(
+                "componentServices", [d["name"]])))),
             net=GNetModel(GspSpec(methods, attributes),
                           _structure_from_dict(d["net"]["is"])),
         )
@@ -195,14 +203,12 @@ def block_to_dict(name: str, block: BlockFragment) -> dict:
 def block_from_dict(d: dict) -> tuple:
     try:
         block = BlockFragment(_structure_from_dict(d["is"]))
-        declared_entry = sorted(d.get("entry", ()))
-        declared_exit = sorted(d.get("exit", ()))
-        if declared_entry and declared_entry != block.entries:
-            raise ParseError(0, f"declared entry {declared_entry} does not "
-                             f"match computed {block.entries}")
-        if declared_exit and declared_exit != block.exits:
-            raise ParseError(0, f"declared exit {declared_exit} does not "
-                             f"match computed {block.exits}")
+        for key, computed in (("entry", block.entries),
+                              ("exit", block.exits)):
+            declared = sorted(_list(d.get(key, ())))
+            if declared and declared != computed:
+                raise ParseError(0, f"declared {key} {declared} does not "
+                                 f"match computed {computed}")
         return _name(d["name"]), block
     except _MALFORMED as exc:
         raise _malformed(exc) from None

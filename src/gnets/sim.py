@@ -1,17 +1,19 @@
 """Token-game execution: enabling, firing, synchronous cross-net invocation
 through ISP places, and policy-driven runs.
 
-States are values; every step function returns a new state.  A token is its
-fields: the tuple of its (field, value) pairs sorted by name and made exact
-(`model.exact`), as a state's env and a fired binding are.  Putting a token
-on an ISP place runs the invoked method to completion inside the same step
-(`init_state` or `fire`): the place receives the token the call returns,
-and the call's events follow the event of the firing that put the token.  A
-call that stops short of its goal raises `SubnetDeadlock` with its outcome,
-partial trace and final marking.
+States are values.  `enabled` offers the `Firing`s of a state, each a
+transition, its binding and the tokens it takes (two tokens that give one
+binding are two firings), and `fire` applies one to the state it was offered
+in, returning a new state.  A token is its fields: the tuple of its (field,
+value) pairs sorted by name and made exact (`model.exact`), as a state's env
+and a fired binding are.  Putting a token on an ISP place runs the invoked
+method to completion inside the same step (`init_state` or `fire`): the
+place receives the token the call returns, and the call's events follow the
+event of the firing that put the token.  A call that stops short of its goal
+raises `SubnetDeadlock` with its outcome, partial trace and final marking.
 
-The first `enabled` or `fire` on a structure compiles it into a plan kept on
-the structure (`_Plan`): what each transition reads and writes, and an index
+The first `enabled` on a structure compiles it into a plan kept on the
+structure (`_Plan`): what each transition reads and writes, and an index
 from each place to the transitions whose first preset place it is, so a
 state tries only the transitions its marked places head.  The plan holds
 nothing of the service's interface (domains, attributes, goals), which
@@ -34,13 +36,12 @@ a step budget of its own.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 from . import guards
-from .errors import (ArityMismatch, DepthLimitExceeded, NotEnabled,
-                     SubnetDeadlock, UnboundFreeVariable, UnknownMethod,
-                     UnknownService)
+from .errors import (ArityMismatch, DepthLimitExceeded, SubnetDeadlock,
+                     UnboundFreeVariable, UnknownMethod, UnknownService)
 from .model import (PlaceKind, Registry, WebService, exact, freeze_marking,
                     natural_key, same)
 
@@ -81,6 +82,18 @@ class SimState:
     depth: int = 0
     registry: Registry = None
     config: SimConfig = SimConfig()
+
+
+@dataclass(frozen=True)
+class Firing:
+    """A choice of `enabled(state)`: `transition` under `binding`, taking the
+    `consumed` tokens, which sit at `indexes` of their places in `state`."""
+    transition: str
+    binding: dict  # name -> value
+    consumed: tuple  # tuple[(place, token), ...], as FiringEvent records it
+    state: SimState = field(repr=False, compare=False)
+    step: _Step = field(repr=False, compare=False)
+    indexes: tuple = field(repr=False, compare=False)
 
 
 def _freeze(pairs: dict) -> tuple:
@@ -146,7 +159,6 @@ class _Plan:
     preset place is unmarked cannot fire, so a marking tries only the
     transitions indexed under its places, and those with no preset."""
     steps: tuple  # per transition of the list, its _Step
-    by_tid: dict  # transition -> its _Step
     by_first_input: dict  # place -> indexes of the steps it heads
     no_input: list  # indexes of the steps with no preset place
 
@@ -180,17 +192,7 @@ def _compile(struct) -> _Plan:
             by_first_input.setdefault(inputs[0][0], []).append(index)
         else:
             no_input.append(index)
-    return _Plan(tuple(steps), {s.tid: s for s in steps}, by_first_input,
-                 no_input)
-
-
-def _plan(struct) -> _Plan:
-    """The plan of `struct`, built by the first `enabled` or `fire` on it
-    and kept on the instance, as its cached views are."""
-    plan = struct.__dict__.get("_token_game_plan")
-    if plan is None:
-        plan = struct.__dict__["_token_game_plan"] = _compile(struct)
-    return plan
+    return _Plan(tuple(steps), by_first_input, no_input)
 
 
 # --- Enabling --------------------------------------------------------------
@@ -265,9 +267,12 @@ def _bindings(step: _Step, marking: dict, env: dict, gsp):
 
 
 def enabled(state: SimState):
-    """The (transition, binding) pairs fireable in the current marking,
-    ordered by transition name in natural order, then by binding."""
-    plan = _plan(state.ws.net.internal)
+    """The firings of the current marking, ordered by transition name in
+    natural order, then by binding, then in enumeration order."""
+    struct = state.ws.net.internal
+    plan = struct.__dict__.get("_token_game_plan")
+    if plan is None:  # kept on the instance, as its cached views are
+        plan = struct.__dict__["_token_game_plan"] = _compile(struct)
     marking, env, gsp = dict(state.marking), dict(state.env), state.ws.net.gsp
     candidates = list(plan.no_input)
     for pid in marking:
@@ -275,32 +280,25 @@ def enabled(state: SimState):
     results = []
     for index in sorted(candidates):
         step = plan.steps[index]
-        results += [(step.tid, binding)
-                    for binding, _ in _bindings(step, marking, env, gsp)]
+        results += [Firing(step.tid, binding, tuple(
+            (pid, token) for (pid, _), (_, token) in zip(step.inputs, combo)),
+            state, step, tuple(i for i, _ in combo))
+            for binding, combo in _bindings(step, marking, env, gsp)]
     if len(results) > 1:
         # a str value sorts after a number and is compared only with a str
-        results.sort(key=lambda r: (natural_key(r[0]), [
+        results.sort(key=lambda f: (natural_key(f.transition), [
             (name, type(value) is str, value)
-            for name, value in sorted(r[1].items(), key=repr)]))
+            for name, value in sorted(f.binding.items(), key=repr)]))
     return results
 
 
 # --- Firing ----------------------------------------------------------------
 
-def fire(state: SimState, tid: str, binding: dict) -> SimState:
-    step = _plan(state.ws.net.internal).by_tid.get(tid)
-    marking, env, gsp = dict(state.marking), dict(state.env), state.ws.net.gsp
-    found = None
-    if step is not None:
-        found = next((pair for pair in _bindings(step, marking, env, gsp)
-                      if pair[0] == binding and all(
-                          same(v, binding[k]) for k, v in pair[0].items())),
-                     None)
-    if found is None:
-        raise NotEnabled(f"{tid} with binding {dict(binding)!r}")
-    binding, combo = found
-
-    attrs = {a.name for a in gsp.attributes}
+def fire(firing: Firing) -> SimState:
+    """The state after `firing`, one of `enabled(firing.state)`."""
+    state, step, binding = firing.state, firing.step, firing.binding
+    marking, env = dict(state.marking), dict(state.env)
+    attrs = {a.name for a in state.ws.net.gsp.attributes}
     scope = {**env, **binding}
     actions = step.actions
     for assign in actions:
@@ -312,11 +310,10 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
     new_env = state.env if not assigned and env.keys().isdisjoint(binding) \
         else _freeze({n: scope2[n] for n in env.keys() | (assigned & attrs)})
 
-    consumed_log, merged = [], {}
-    for (pid, _), (i, token) in zip(step.inputs, combo):
+    merged = {}
+    for (pid, token), i in zip(firing.consumed, firing.indexes):
         toks = marking[pid]
         marking[pid] = toks[:i] + toks[i + 1:]
-        consumed_log.append((pid, token))
         merged.update(token)
     for name in assigned:
         if name in merged:
@@ -333,8 +330,8 @@ def fire(state: SimState, tid: str, binding: dict) -> SimState:
             calls += events
         marking[q] = marking.get(q, ()) + (token,)
 
-    event = FiringEvent(state.depth, tid, _freeze(binding),
-                        tuple(consumed_log), tuple(produced_log))
+    event = FiringEvent(state.depth, step.tid, _freeze(binding),
+                        firing.consumed, tuple(produced_log))
     return SimState(state.ws, state.method_name, freeze_marking(marking),
                     new_env, state.trace + (event,) + calls,
                     state.depth, state.registry, state.config)
@@ -429,18 +426,18 @@ def run(state: SimState):
     for step in range(config.max_steps):
         if _at_goal(state, goals):
             return state, GOAL
-        choices = enabled(state)
-        if not choices:
+        firings = enabled(state)
+        if not firings:
             return state, DEADLOCK
         # a generator would pick the only choice whatever its seed
-        if config.policy == "random" and len(choices) > 1:
+        if config.policy == "random" and len(firings) > 1:
             if memo is not None:
                 memo.draws += 1
             rng = random.Random(f"{config.seed}:{step}:{len(state.trace)}")
-            tid, binding = rng.choice(choices)
+            firing = rng.choice(firings)
         else:
-            tid, binding = choices[0]
-        state = fire(state, tid, binding)
+            firing = firings[0]
+        state = fire(firing)
     return state, GOAL if _at_goal(state, goals) else STEP_LIMIT
 
 

@@ -193,3 +193,32 @@ def one_or_true_service():
     return WebService(name="OneOrTrue", desc="1 or true next to a 1",
                       component_services=frozenset({"OneOrTrue"}),
                       net=GNetModel(GspSpec(methods=(method,)), struct))
+
+
+def equal_binding_service():
+    """t0 puts (a, b) on p1 and (a, c) on p2; t1 copies p1's token to p3
+    and p5, t2 joins p2 and p5 into p3; t3 reads a from p3.  With a = b = 1
+    and c = 2, the two tokens p3 can hold differ, but each binds t3's a to
+    1: two firings with one binding."""
+    struct = InternalStructure(
+        places=(Place("p0"), Place("p1"), Place("p2"), Place("p3"),
+                Place("p4", PlaceKind.GOAL), Place("p5")),
+        transitions=("t0", "t1", "t2", "t3"),
+        arcs=(("p0", "t0"), ("t0", "p1"), ("t0", "p2"), ("p1", "t1"),
+              ("t1", "p3"), ("t1", "p5"), ("p2", "t2"), ("p5", "t2"),
+              ("t2", "p3"), ("p3", "t3"), ("t3", "p4")),
+        inscriptions=((("t0", "p1"), _ins("a, b")),
+                      (("t0", "p2"), _ins("a, c")),
+                      (("p3", "t3"), _ins("a")), (("t3", "p4"), _ins("a"))),
+        labels=(("p0", OpLabel("fork")), ("p1", OpLabel("copy")),
+                ("p2", OpLabel("join")), ("p3", OpLabel("read")),
+                ("p4", GOAL), ("p5", OpLabel("wait"))),
+    )
+    method = MethodSpec("Read", "", (), "p0", frozenset({"p4"}))
+    attributes = (AttributeSpec("a", "int", initial=1),
+                  AttributeSpec("b", "int", initial=1),
+                  AttributeSpec("c", "int", initial=2))
+    return WebService(name="EqualBinding", desc="two tokens, one binding",
+                      component_services=frozenset({"EqualBinding"}),
+                      net=GNetModel(GspSpec(methods=(method,),
+                                            attributes=attributes), struct))

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import reach_oracle
 import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
-                      gated_false_service, one_or_true_service,
-                      treat_command_block, treat_command_service)
-from gnets import algebra, analysis, dsl, guards, prod
+                      equal_binding_service, gated_false_service,
+                      one_or_true_service, treat_command_block,
+                      treat_command_service)
+from gnets import algebra, analysis, dsl, guards, prod, sim
 from gnets.errors import (DepthLimitExceeded, GnetError, UnboundFreeVariable,
                           UnflattenableIsp)
 from gnets.model import (PlaceKind, Registry, freeze_marking, natural_key,
@@ -693,6 +694,33 @@ class TestExactValues:
         assert len(graph.out) == 4 and len(graph.edges) == 4
         expected = reach_oracle.reachable_markings(flat, flat.initial)
         assert len(expected) == 4 and engine_nodes(graph) == expected
+
+
+class TestTwoTokensOneBinding:
+    """p3 can hold two different tokens that bind t3 alike: each is a
+    firing of its own, so both successors are explored and a random run may
+    take either."""
+
+    def test_explore_service_keeps_both_successors(self):
+        graph = analysis.explore_service(equal_binding_service())
+        assert len(graph.out) == 8 and len(graph.edges) == 9
+        reads = [[graph.edges[i][3] for i in out
+                  if graph.edges[i][1] == "t3"] for out in graph.out.values()]
+        assert max(map(len, reads)) == 2
+        assert all(len(set(dsts)) == len(dsts) for dsts in reads)
+
+    def test_random_runs_take_either_token(self):
+        ws = equal_binding_service()
+        taken = set()
+        for seed in range(20):
+            state = sim.init_state(ws, "Read", config=sim.SimConfig(
+                policy="random", seed=seed))
+            final, outcome = sim.run(state)
+            assert outcome == sim.GOAL
+            read, = (e for e in final.trace if e.transition == "t3")
+            taken.add(read.consumed)
+        assert taken == {(("p3", (("a", 1), ("b", 1))),),
+                         (("p3", (("a", 1), ("b", 1), ("c", 2))),)}
 
 
 class TestAnalyzeReport:

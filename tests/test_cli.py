@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 from functools import reduce
@@ -61,6 +62,16 @@ def empty_domain_path(tmp_path):
     return path
 
 
+def field_paths(doc, path=()):
+    """The path of every value of the JSON document `doc`, taking only the
+    first item of each list."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc[:1]) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
 def compose_file(tmp_path, text):
     path = tmp_path / "term.gnet"
     path.write_text(text)
@@ -99,11 +110,19 @@ class TestValidate:
         (("net", "gsp", "attributes", 0, "name"), ["Available"]),
         (("name",), ["Book-Order"]),
         (("net", "is", "places", 0, "id"), 1),
+        (("net", "gsp", "attributes", 0, "valueType"), ["bool"]),
+        (("net", "gsp", "attributes", 0, "valueType"), {"bool": 1}),
+        (("net", "gsp", "attributes", 0, "domain"), "ab"),
+        (("net", "gsp", "methods", 0, "goalPlaces"), "P6"),
+        (("net", "is", "transitions"), "T1"),
+        (("net", "is", "arcs", 0), "PT"),
     ], ids=["list", "place-string", "fields-number", "domain-number",
             "place-id-list", "transition-list", "arc-source-list",
             "arc-target-list", "init-place-list", "label-place-list",
             "condition-transition-list", "param-name-list",
-            "attribute-name-list", "service-name-list", "place-id-number"])
+            "attribute-name-list", "service-name-list", "place-id-number",
+            "value-type-list", "value-type-object", "domain-string",
+            "goal-places-string", "transitions-string", "arc-string"])
     def test_malformed_document_exit_2(self, tmp_path, capsys, where, value):
         doc = io.service_to_dict(book_order_service())
         if where:
@@ -117,6 +136,26 @@ class TestValidate:
             assert main([command, str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_every_field_of_any_type(self, tmp_path, capsys):
+        """Each field of book-order, down the first item of each list,
+        replaced by a value of each JSON type: `validate` and `analyze`
+        read, report or reject it, and raise nothing."""
+        doc = io.service_to_dict(book_order_service())
+        path = tmp_path / "swept.json"
+        calls = 0
+        for where in field_paths(doc):
+            *outer, last = where
+            for value in (["x"], {"x": 1}, 5, None, "ab", True):
+                swept = copy.deepcopy(doc)
+                reduce(getitem, outer, swept)[last] = value
+                path.write_text(json.dumps(swept))
+                for command in (["validate"], ["analyze", "--args", "1"]):
+                    code = main([command[0], str(path), *command[1:]])
+                    assert code in (0, 1, 2), (where, value, command)
+                    calls += 1
+        capsys.readouterr()
+        assert calls > 500
 
     @pytest.mark.parametrize("command", [["validate"],
                                          ["simulate", "--args", "1"]])

@@ -81,7 +81,7 @@ race = WebService("race", net=GNetModel(
                       (("p01", "t01"), (Var("x"),))))))
 state = sim.init_state(race, "Race")
 print(sim.enabled(state))
-state = sim.fire(state, *sim.enabled(state)[-1])
+state = sim.fire(sim.enabled(state)[-1])
 print(sim.enabled(state))
 for policy, seed in (("det", 0), ("random", 1), ("random", 2),
                      ("random", 3)):

@@ -12,8 +12,7 @@ from fixtures import (book_order_service, branching_bool_service,
                       stuck_service)
 from gnets import algebra, dsl, guards, sim
 from gnets.errors import (ArityMismatch, DepthLimitExceeded, GnetError,
-                          NotEnabled, SubnetDeadlock, UnboundFreeVariable,
-                          UnknownMethod)
+                          SubnetDeadlock, UnboundFreeVariable, UnknownMethod)
 from gnets.model import (AttributeSpec, GNetModel, GspSpec, InternalStructure,
                          MethodSpec, Place, Registry, WebService, exact,
                          freeze_marking, natural_key)
@@ -28,6 +27,18 @@ def make_registry():
 
 def compose(text, reg):
     return dsl.eval_expr(dsl.parse_expr(text), reg)
+
+
+def offered(state):
+    """`enabled(state)` as (transition, binding, consumed) triples."""
+    return [(f.transition, f.binding, f.consumed) for f in sim.enabled(state)]
+
+
+def pick(state, tid, binding):
+    """The first firing of `enabled(state)` of `tid` under `binding`, types
+    included, or None when no such firing is offered."""
+    return next((f for f in sim.enabled(state) if f.transition == tid
+                 and typed(f.binding) == typed(binding)), None)
 
 
 class TestInit:
@@ -57,49 +68,48 @@ class TestEnablingAndFiring:
 
     def test_domain_enumeration(self):
         state = sim.init_state(book_order_service(), "Command", (1,))
-        choices = sim.enabled(state)
-        # T1 with Available=true, T3 with Available=false
-        assert choices == [("T1", {"Available": True, "seq": 1}),
-                           ("T3", {"Available": False, "seq": 1})]
+        # T1 with Available=true, T3 with Available=false, each taking the
+        # request token
+        taken = (("P1", (("seq", 1),)),)
+        assert offered(state) == [
+            ("T1", {"Available": True, "seq": 1}, taken),
+            ("T3", {"Available": False, "seq": 1}, taken)]
 
     def test_token_carries_bound_value(self):
         state = sim.init_state(book_order_service(), "Command", (1,))
-        state = sim.fire(state, "T1", {"Available": True, "seq": 1})
+        state = sim.fire(pick(state, "T1", {"Available": True, "seq": 1}))
         token, = dict(state.marking)["P2"]
         assert token == (("Available", True), ("seq", 1))
         # once bound into the token, the other branch is gone
-        assert [t for t, _ in sim.enabled(state)] == ["T2"]
+        assert [f.transition for f in sim.enabled(state)] == ["T2"]
 
     def test_not_enabled_rejected(self):
         state = sim.init_state(book_order_service(), "Command", (1,))
-        with pytest.raises(NotEnabled):
-            sim.fire(state, "T2", {})
-        with pytest.raises(NotEnabled):
-            sim.fire(state, "T1", {"Available": True, "seq": 99})
-        with pytest.raises(NotEnabled):
-            sim.fire(state, "T99", {})
+        assert pick(state, "T2", {}) is None
+        assert pick(state, "T1", {"Available": True, "seq": 99}) is None
+        assert pick(state, "T99", {}) is None
 
     def test_action_updates_env(self):
         state = sim.init_state(branching_bool_service(), "Branch", ())
-        state = sim.fire(state, "t1", {"V": True})
-        state = sim.fire(state, "t3", {"V": True})
+        state = sim.fire(pick(state, "t1", {"V": True}))
+        state = sim.fire(pick(state, "t3", {"V": True}))
         assert dict(state.env)["V"] is False
         assert dict(state.marking)["p3"] == ((("V", False),),)
 
     def test_fire_is_pure(self):
         state = sim.init_state(book_order_service(), "Command", (1,))
         before = state.marking
-        sim.fire(state, "T1", {"Available": True, "seq": 1})
+        sim.fire(pick(state, "T1", {"Available": True, "seq": 1}))
         assert state.marking == before
 
     def test_marking_keys_stay_in_net(self):
         state = sim.init_state(book_order_service(), "Command", (1,))
         pids = state.ws.net.internal.place_ids()
         while True:
-            choices = sim.enabled(state)
-            if not choices:
+            firings = sim.enabled(state)
+            if not firings:
                 break
-            state = sim.fire(state, *choices[0])
+            state = sim.fire(firings[0])
             assert set(dict(state.marking)) <= pids
 
 
@@ -161,8 +171,11 @@ class TestRuns:
         assert outcome == sim.GOAL
         replayed = sim.init_state(book_order_service(), "Command", (1,))
         for event in final.trace:
-            replayed = sim.fire(replayed, event.transition,
-                                dict(event.binding))
+            replayed = sim.fire(next(
+                f for f in sim.enabled(replayed)
+                if (f.transition, f.consumed) == (event.transition,
+                                                  event.consumed)
+                and typed(f.binding) == typed(dict(event.binding))))
         assert replayed.marking == final.marking
 
 
@@ -452,9 +465,11 @@ def full_scan_bindings(state, tid):
 
 
 def full_scan_enabled(state):
-    """The reference `enabled`: every transition of the list is tried."""
-    results = [(tid, binding) for tid in state.ws.net.internal.transitions
-               for binding, _ in full_scan_bindings(state, tid)]
+    """The reference `enabled`, as (transition, binding, consumed) triples:
+    every transition of the list is tried."""
+    results = [(tid, binding, tuple((pid, t) for pid, _, t in combo))
+               for tid in state.ws.net.internal.transitions
+               for binding, combo in full_scan_bindings(state, tid)]
     results.sort(key=lambda r: (natural_key(r[0]), [
         (name, type(value) is str, value)
         for name, value in sorted(r[1].items(), key=repr)]))
@@ -465,19 +480,15 @@ def typed(binding):
     return {name: (type(value), value) for name, value in binding.items()}
 
 
-def full_scan_fire(state, tid, binding):
-    """The reference `fire` of a net without ISP places: the binding is
-    matched by type and value, and each consumed token removed by its
-    position."""
+def full_scan_fire(state, tid, binding, consumed):
+    """The reference `fire` of a net without ISP places: the firing of `tid`
+    whose binding and consumed tokens are `binding` and `consumed`, matched
+    by type and value; each consumed token is removed by its position."""
     struct = state.ws.net.internal
-    wanted = dict(binding)
-    found = None
-    if tid in struct.transitions:
-        found = next((pair for pair in full_scan_bindings(state, tid)
-                      if typed(pair[0]) == typed(wanted)), None)
-    if found is None:
-        raise NotEnabled(f"{tid} with binding {wanted!r}")
-    binding, combo = found
+    binding, combo = next(
+        pair for pair in full_scan_bindings(state, tid)
+        if typed(pair[0]) == typed(binding) and repr(tuple(
+            (pid, t) for pid, _, t in pair[1])) == repr(consumed))
     env = dict(state.env)
     attrs = {a.name for a in state.ws.net.gsp.attributes}
     scope = {**env, **binding}
@@ -618,9 +629,9 @@ def game_state(transitions, marking):
 
 class TestCompiledTokenGame:
     """`enabled` tries only the transitions whose first preset place is
-    marked, from a plan built once per structure, and `fire` finds its
-    transition through that plan; both must equal a full scan, order,
-    binding types and errors included."""
+    marked, from a plan built once per structure, and `fire` applies one of
+    its firings; both must equal a full scan, order, binding types,
+    consumed tokens and errors included."""
 
     @given(st.lists(game_transitions, min_size=1, max_size=4),
            st.dictionaries(st.sampled_from(GAME_PLACES), game_places,
@@ -629,29 +640,24 @@ class TestCompiledTokenGame:
     def test_equals_full_scan(self, transitions, marking):
         state = game_state(transitions, marking)
         expected = outcome(full_scan_enabled, state)
-        assert outcome(sim.enabled, state) == expected
-        tried = [(tid, {}) for tid in state.ws.net.internal.transitions]
+        assert outcome(offered, state) == expected
         try:
-            tried += full_scan_enabled(state)
+            firings = sim.enabled(state)
         except GnetError:
-            pass
-        # a binding that is no choice: 1 for True and True for 1
-        tried += [(tid, {k: {1: True, True: 1}.get(v, v) if type(v)
-                         in (int, bool) else v for k, v in binding.items()})
-                  for tid, binding in tried]
-        tried.append(("t99", {}))
-        for tid, binding in tried:
-            assert outcome(sim.fire, state, tid, binding) \
-                == outcome(full_scan_fire, state, tid, binding)
+            firings = []
+        for f in firings:
+            assert outcome(sim.fire, f) == outcome(
+                full_scan_fire, state, f.transition, f.binding, f.consumed)
 
     def test_one_true_next_to_one(self):
         state = game_state(
             [((("p1", (guards.Var("x"),)),), (("p2", (guards.Var("x"),)),),
               None, ())],
             {"p1": [(("x", 1),), (("x", True),)]})
-        assert repr(sim.enabled(state)) == \
-            "[('t01', {'x': 1}), ('t01', {'x': True})]"
-        fired = sim.fire(state, "t01", {"x": True})
+        assert repr(offered(state)) == \
+            "[('t01', {'x': 1}, (('p1', (('x', 1),)),)), " \
+            "('t01', {'x': True}, (('p1', (('x', True),)),))]"
+        fired = sim.fire(pick(state, "t01", {"x": True}))
         assert fired.trace[0].binding == (("x", True),)
         assert repr(fired.trace[0].binding) == "(('x', True),)"
         after = dict(fired.marking)
@@ -662,9 +668,11 @@ class TestCompiledTokenGame:
     def test_int_and_str_bindings_of_one_variable(self):
         state = sim.init_state(mixed_values_service(), "Mix")
         for tid in ("t0", "ta", "tb"):
-            state = sim.fire(state, tid, {})
-        assert sim.enabled(state) == [("t1", {"x": 1}), ("t1", {"x": "a"})]
-        assert sim.enabled(state) == full_scan_enabled(state)
+            state = sim.fire(pick(state, tid, {}))
+        assert offered(state) == [
+            ("t1", {"x": 1}, (("p1", (("_1", 1),)),)),
+            ("t1", {"x": "a"}, (("p1", (("_1", "a"),)),))]
+        assert offered(state) == full_scan_enabled(state)
 
     def test_unmarked_preset_leaves_unbound_variable_unread(self):
         # t01 reads the undeclared u, but its preset p2 is never marked
@@ -674,8 +682,8 @@ class TestCompiledTokenGame:
             ((("p1", (guards.Var("x"),)),), (("p2", (guards.Var("x"),)),),
              None, ())]
         state = game_state(transitions, {"p1": [(("x", 0),)]})
-        assert sim.enabled(state) == [("t1", {"x": 0})]
-        state = sim.fire(state, "t1", {"x": 0})
+        assert offered(state) == [("t1", {"x": 0}, (("p1", (("x", 0),)),))]
+        state = sim.fire(pick(state, "t1", {"x": 0}))
         with pytest.raises(UnboundFreeVariable) as info:
             sim.enabled(state)
         assert info.value.name == "u"
@@ -685,18 +693,17 @@ class TestCompiledTokenGame:
         for tid, binding in (("T99", {}), ("T2", {}),
                              ("T1", {"Available": 1, "seq": 1}),
                              ("T1", {"Available": True, "seq": True})):
-            with pytest.raises(NotEnabled):
-                sim.fire(state, tid, binding)
+            assert pick(state, tid, binding) is None
 
     def test_structure_shared_by_states_and_services(self):
         ws = book_order_service()
         first = sim.init_state(ws, "Command", (1,))
         second = sim.init_state(ws, "Command", (2,))
-        assert sim.enabled(first) == full_scan_enabled(first)
-        assert sim.enabled(second) == full_scan_enabled(second)
-        for tid, binding in full_scan_enabled(second):
-            assert outcome(sim.fire, second, tid, binding) \
-                == outcome(full_scan_fire, second, tid, binding)
+        assert offered(first) == full_scan_enabled(first)
+        assert offered(second) == full_scan_enabled(second)
+        for f in sim.enabled(second):
+            assert outcome(sim.fire, f) == outcome(
+                full_scan_fire, second, f.transition, f.binding, f.consumed)
         # the plan is kept on the structure; the domains are the service's
         gsp = ws.net.gsp
         twin = dataclasses.replace(ws, net=GNetModel(
@@ -704,5 +711,5 @@ class TestCompiledTokenGame:
                 AttributeSpec("Available", "bool", domain=(False,)),)),
             ws.net.internal))
         third = sim.init_state(twin, "Command", (3,))
-        assert sim.enabled(third) == full_scan_enabled(third) \
-            == [("T3", {"Available": False, "seq": 3})]
+        assert offered(third) == full_scan_enabled(third) == [
+            ("T3", {"Available": False, "seq": 3}, (("P1", (("seq", 3),)),))]
