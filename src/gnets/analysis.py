@@ -122,6 +122,9 @@ def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
                 ) -> InlineResult:
     """Repeatedly replace ISP places by renamed copies of the invoked
     method's subnet until none remain, one round of ISPs at a time."""
+    if depth_limit < 0:
+        raise ValueError(f"depth_limit must not be negative, got "
+                         f"{depth_limit}")
     service = ws
     regions: dict[str, set] = {}
     counter = 0

@@ -19,18 +19,25 @@ state tries only the transitions its marked places head.  The plan holds
 nothing of the service's interface (domains, attributes, goals), which
 services sharing a structure may declare differently.
 
-A call that draws no random choice is a function of its inputs, so each
-registry keeps a call memo (`_CallMemo`), made by its first `run` or ISP
-call and never copied: `Registry.copy()` starts with none.  Its key is the
-invoked service and method, the tuple of the arguments made exact (the int
-1 and the bool True stay apart), the caller's depth and the config's
-`policy`, `depth_limit` and `max_steps`, but not its `seed`.  Its value is
-the fields the call's goal tokens add to the ISP token and the call's
-trace.  A call is stored when it reaches its goal and no step of it, nested
-calls included, drew a random choice (`run` counts its draws on the memo);
-a call that draws, or raises, is never stored.  The memo holds because
-`Registry.insert` never changes what a name means and every nested call has
-a step budget of its own.
+A call or a step that draws no random choice is a function of its inputs,
+so each registry keeps a memo of both (`_CallMemo`), made by its first `run`
+or ISP call and never copied: `Registry.copy()` starts with none.  Both keys
+end in the config's `policy`, `depth_limit` and `max_steps`, but not its
+`seed`.  A call's key starts with the invoked service and method, the tuple
+of the arguments made exact (the int 1 and the bool True stay apart) and the
+caller's depth; its value is the fields the call's goal tokens add to the
+ISP token and the call's trace.  A step's key starts with the service (by
+identity; the memo holds the service, so its id is not reused) and the
+state's marking, env and depth; its value is the number of firings `enabled`
+offered and, per chosen firing index, the successor's marking and env and
+the events the step appended.  On a hit `run` still makes its own draw
+among that many choices, from the same generator.  A call is stored when it
+reaches its goal and no step of it, nested calls included, drew; a step is
+stored when it raised nothing and no nested call it made drew (`run` counts
+its draws on the memo).  Nothing else is stored: `enabled`, `fire` and
+`analysis.explore_service` use no memo, and no result is kept on a service
+or a structure.  The memo holds because `Registry.insert` never changes
+what a name means and every nested call has a step budget of its own.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ POLICIES = ("det", "random")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Every field but `seed` is part of the call memo's key."""
+    """Every field but `seed` is part of the call and step memos' keys."""
     policy: str = "det"  # one of POLICIES
     seed: int = 0
     depth_limit: int = 16
@@ -61,6 +68,11 @@ class SimConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}: expected "
                              f"one of {', '.join(POLICIES)}")
+        if self.depth_limit < 0:
+            raise ValueError(f"depth_limit must not be negative, got "
+                             f"{self.depth_limit}")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be positive")
 
 
 @dataclass(frozen=True)
@@ -340,11 +352,14 @@ def fire(firing: Firing) -> SimState:
 # --- ISP invocation --------------------------------------------------------
 
 class _CallMemo:
-    """The draw-free calls made on one registry, and the count of random
-    draws its runs have made, by which `invoke_isp` sees a call draw."""
+    """The draw-free calls and steps run on one registry, and the count of
+    random draws its runs have made, by which a call or a step is seen to
+    draw."""
 
     def __init__(self):
-        self.results = {}  # key -> (goal fields, trace)
+        self.results = {}  # call key -> (goal fields, trace)
+        self.steps = {}  # step key -> (firing count, {index: successor})
+        self.services = {}  # id -> a service a step key names by its id
         self.draws = 0
 
 
@@ -417,27 +432,44 @@ def run(state: SimState):
     """Fire until a goal marking, a deadlock or the step limit, as set by
     `state.config` (which every nested ISP call shares; each call has
     `max_steps` steps of its own).  Returns the final state and one of
-    GOAL / DEADLOCK / STEP_LIMIT."""
-    config = state.config
-    if config.max_steps <= 0:
-        raise ValueError("max_steps must be positive")
-    goals = state.ws.net.gsp.method(state.method_name).goal_places
-    memo = None if state.registry is None else _call_memo(state.registry)
+    GOAL / DEADLOCK / STEP_LIMIT.  A draw-free step is computed once per
+    registry (see the module docstring)."""
+    config, ws = state.config, state.ws
+    goals = ws.net.gsp.method(state.method_name).goal_places
+    # a run with no registry keeps its memo to itself
+    memo = _CallMemo() if state.registry is None else _call_memo(
+        state.registry)
     for step in range(config.max_steps):
         if _at_goal(state, goals):
             return state, GOAL
-        firings = enabled(state)
-        if not firings:
+        key = (id(ws), state.marking, state.env, state.depth, config.policy,
+               config.depth_limit, config.max_steps)
+        entry, firings = memo.steps.get(key), None
+        if entry is None:
+            firings = enabled(state)
+            entry = len(firings), {}
+        count, successors = entry
+        if not count:
             return state, DEADLOCK
+        index = 0
         # a generator would pick the only choice whatever its seed
-        if config.policy == "random" and len(firings) > 1:
-            if memo is not None:
-                memo.draws += 1
+        if config.policy == "random" and count > 1:
+            memo.draws += 1
             rng = random.Random(f"{config.seed}:{step}:{len(state.trace)}")
-            firing = rng.choice(firings)
-        else:
-            firing = firings[0]
-        state = fire(firing)
+            index = rng.choice(range(count))  # as rng.choice(firings)
+        if index in successors:
+            marking, env, events = successors[index]
+            state = SimState(ws, state.method_name, marking, env,
+                             state.trace + events, state.depth,
+                             state.registry, config)
+            continue
+        draws = memo.draws
+        after = fire((firings or enabled(state))[index])
+        if memo.draws == draws:
+            successors[index] = (after.marking, after.env,
+                                 after.trace[len(state.trace):])
+            memo.steps[key], memo.services[id(ws)] = entry, ws
+        state = after
     return state, GOAL if _at_goal(state, goals) else STEP_LIMIT
 
 

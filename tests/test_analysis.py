@@ -86,6 +86,13 @@ class TestInlining:
         with pytest.raises(DepthLimitExceeded):
             analysis.inline_isps(ws, reg, depth_limit=2)
 
+    def test_negative_depth_limit_rejected(self):
+        """An input error even for a service with no ISP place."""
+        reg = make_registry()
+        for ws in (compose("seq(a, b)", reg), book_order_service()):
+            with pytest.raises(ValueError, match="must not be negative"):
+                analysis.inline_isps(ws, reg, depth_limit=-1)
+
     def test_goal_preserved(self):
         reg = make_registry()
         ws = compose("alt(a, b)", reg)
@@ -721,6 +728,21 @@ class TestTwoTokensOneBinding:
             taken.add(read.consumed)
         assert taken == {(("p3", (("a", 1), ("b", 1))),),
                          (("p3", (("a", 1), ("b", 1), ("c", 2))),)}
+
+
+    @pytest.mark.xfail(strict=True, raises=UnboundFreeVariable, reason=(
+        "ROADMAP item 1: flatten gives p5 the fields (a, b, c), but t1, its "
+        "only producer, binds only p1's (a, b), so c is unbound"))
+    def test_flat_engine_agrees_with_the_token_game(self):
+        ws = equal_binding_service()
+        method = ws.net.gsp.method("Read")
+        explored = analysis.analyze(analysis.explore_service(ws),
+                                    set(method.goal_places))
+        assert explored.goal_reachable and not explored.deadlocks
+        flat = analysis.flatten(ws, "Read")
+        report = analysis.analyze(analysis.reachability(flat),
+                                  analysis.flat_goal_places(method))
+        assert report.goal_reachable and not report.deadlocks
 
 
 class TestAnalyzeReport:

@@ -1,17 +1,24 @@
 import copy
 import dataclasses
 import json
+import random
+from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
+from io import StringIO
 from operator import getitem
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import test_acceptance
 
 from fixtures import (book_order_service, gated_false_service,
                       mixed_values_service, stuck_service,
                       treat_command_block)
-from gnets import algebra, io
+from gnets import algebra, dsl, io
 from gnets.cli import main
-from gnets.model import IspRef, Place, PlaceKind
+from gnets.model import IspRef, Place, PlaceKind, validate
 
 
 @pytest.fixture
@@ -254,6 +261,19 @@ class TestCompose:
         assert main([command[0], str(out), "--registry",
                      str(registry_dir)]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["analyze"], ["export", "--format", "prod"]])
+    def test_negative_depth_limit_exit_2(self, tmp_path, registry_dir,
+                                         capsys, command):
+        out = tmp_path / "nested.json"
+        main(["compose", str(compose_file(tmp_path, "seq(par(a, b), a)")),
+              "--registry", str(registry_dir), "--out", str(out)])
+        capsys.readouterr()
+        assert main([command[0], str(out), *command[1:], "--registry",
+                     str(registry_dir), "--depth-limit", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: depth_limit must not be negative, got -1\n"
+
     def test_registry_holdings_not_saved_again(self, tmp_path, registry_dir):
         before = {p: p.read_text() for p in registry_dir.iterdir()}
         main(["compose", str(compose_file(tmp_path, "par(a, b)")),
@@ -464,3 +484,35 @@ class TestEmptyService:
         capsys.readouterr()
         assert main([command[0], str(out), *command[1:]]) == 0
         assert expected in capsys.readouterr().out
+
+
+class TestGeneratedModels:
+    """Every command on generated valid models, composed over the
+    criterion-2 registry and saved with it, exits with a documented code
+    and lets no exception escape."""
+
+    @given(st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_every_command_exits_with_a_code(self, tmp_path_factory, seed):
+        reg = test_acceptance.make_registry()
+        ws = dsl.eval_expr(test_acceptance.random_term(random.Random(seed),
+                                                       4), reg)
+        assert validate(ws).ok
+        directory = tmp_path_factory.mktemp("generated")
+        (directory / "reg").mkdir()
+        for name, service in reg.services.items():
+            io.save_service(service, directory / "reg" / f"{name}.json")
+        path = directory / "model.json"
+        io.save_service(ws, path)
+        method = algebra.main_method(ws)
+        model_args = ["--registry", str(directory / "reg"), "--args",
+                      *["req"] * len(method.params)]
+        for command in (["validate"],
+                        ["simulate", "--max-steps", "300", *model_args],
+                        ["simulate", "--max-steps", "300", "--policy",
+                         "random", "--seed", str(seed), *model_args],
+                        ["analyze", "--max-states", "200", *model_args],
+                        ["export", "--format", "prod", *model_args]):
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                code = main([command[0], str(path), *command[1:]])
+            assert code in (0, 1, 2, 3, 4), (seed, command)

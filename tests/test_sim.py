@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 from itertools import product
 
@@ -10,7 +11,7 @@ import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
                       gated_false_service, mixed_values_service,
                       stuck_service)
-from gnets import algebra, dsl, guards, sim
+from gnets import algebra, analysis, dsl, guards, sim
 from gnets.errors import (ArityMismatch, DepthLimitExceeded, GnetError,
                           SubnetDeadlock, UnboundFreeVariable, UnknownMethod)
 from gnets.model import (AttributeSpec, GNetModel, GspSpec, InternalStructure,
@@ -269,10 +270,25 @@ class TestConfig:
             sim.SimConfig(policy="rand")
 
     def test_fields_pinned(self):
-        """Every field but the seed is part of the call memo's key, so a
-        new field must be added to the key too."""
+        """Every field but the seed is part of the call and step memos'
+        keys, so a new field must be added to both keys too."""
         assert [f.name for f in dataclasses.fields(sim.SimConfig)] == [
             "policy", "seed", "depth_limit", "max_steps"]
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"depth_limit": -1}, "depth_limit must not be negative, got -1"),
+        ({"max_steps": 0}, "max_steps must be positive"),
+        ({"max_steps": -5}, "max_steps must be positive")])
+    def test_limits_out_of_range_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            sim.SimConfig(**fields)
+
+    def test_zero_depth_limit_allowed(self):
+        """A depth limit of 0 allows no call: a run of a net without ISP
+        places is unaffected."""
+        state = sim.init_state(book_order_service(), "Command", (1,),
+                               config=sim.SimConfig(depth_limit=0))
+        assert sim.run(state)[1] == sim.GOAL
 
 
 # --- The call memo -----------------------------------------------------------
@@ -373,12 +389,148 @@ class TestCallMemo:
                 runs += [(ws, method.name, args, config,
                           observe(ws, method.name, args, shared, config))
                          for config in configs]
-        monkeypatch.setattr(sim, "_call_memo", lambda reg: sim._CallMemo())
+        monkeypatch.setattr(sim, "_CallMemo", StoresNothing)
+        monkeypatch.setattr(sim, "_call_memo", lambda reg: StoresNothing())
         for ws, method_name, args, config, seen in runs:
             assert seen == observe(ws, method_name, args, reg.copy(),
                                    config), (ws.name, config)
         assert {seen[0] for *_, seen in runs} >= {
             sim.GOAL, sim.STEP_LIMIT, "SubnetDeadlock"}
+
+
+class _Forgets(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class StoresNothing(sim._CallMemo):
+    """A memo that keeps no call and no step: every lookup misses."""
+
+    def __init__(self):
+        super().__init__()
+        self.results, self.steps = _Forgets(), _Forgets()
+
+
+# --- The step memo -----------------------------------------------------------
+
+def step_keys(reg):
+    """The step memo's keys of `reg` as (service name, marking, env, depth,
+    policy) tuples."""
+    memo = sim._call_memo(reg)
+    return {(memo.services[key[0]].name,) + key[1:5] for key in memo.steps}
+
+
+def observe_state(state):
+    """`observe` for a state made by hand."""
+    final, outcome = sim.run(state)
+    return outcome, sim.format_trace(final), final.marking, final.env
+
+
+def instance_names(instances):
+    return [sorted(vars(instance)) for instance in instances]
+
+
+class TestStepMemo:
+    CONFIGS = [sim.SimConfig()] + [sim.SimConfig(policy="random", seed=seed)
+                                   for seed in (1, 2, 3, 1)]
+
+    @pytest.mark.parametrize("term, method_name", [
+        ("seq(par(a, b), anyseq(c, a))", "Seq"), ("disc(a, b; c)", "Disc")])
+    def test_shared_registry_shows_what_fresh_ones_show(self, term,
+                                                        method_name):
+        reg = make_registry()
+        ws = compose(term, reg)
+        shared = reg.copy()
+        seen = [observe(ws, method_name, (), shared, config)
+                for config in self.CONFIGS]
+        assert seen == [observe(ws, method_name, (), reg.copy(), config)
+                        for config in self.CONFIGS]
+        assert all(s[0] == sim.GOAL for s in seen)
+        assert {name for name, *_ in step_keys(shared)} >= {ws.name, "a"}
+
+    def test_step_whose_call_draws_is_not_stored(self):
+        """Seq's t1 puts the token that calls Alt(b,c), which draws: that
+        step is not stored.  Seq's t2, Alt's own steps (its draw is made
+        again on every hit) and the leaves' steps are.  Under det nothing
+        draws, so every step is stored."""
+        reg = make_registry()
+        ws = compose("seq(a, alt(b, c))", reg)
+
+        def stored(policy):
+            return {(name, tuple(sorted(dict(marking))), depth)
+                    for name, marking, _, depth, p in step_keys(reg)
+                    if p == policy}
+
+        observe(ws, "Seq", (), reg, sim.SimConfig(policy="random", seed=1))
+        steps = {("Seq(a,Alt(b,c))", ("p2",), 0), ("Alt(b,c)", ("p1",), 1),
+                 ("Alt(b,c)", ("p2",), 1), ("a", ("p1",), 1)}
+        assert steps <= stored("random")
+        assert ("Seq(a,Alt(b,c))", ("p1",), 0) not in stored("random")
+        observe(ws, "Seq", (), reg, sim.SimConfig())
+        assert steps | {("Seq(a,Alt(b,c))", ("p1",), 0)} <= stored("det")
+
+    def test_int_and_bool_states_apart(self):
+        """One service in four states that differ only by the int 1 and
+        the bool True, in a token and in the env: four entries, and each
+        run shows what it shows on a fresh registry."""
+        base = game_state(
+            [((("p1", (guards.Var("x"),)),),
+              (("p10", (guards.Var("x"), guards.Var("a"))),), None, ())],
+            {})
+        states = [dataclasses.replace(
+            base, marking=freeze_marking({"p1": [exact((("x", x),))]}),
+            env=exact((("a", a),)))
+            for x, a in product((1, True), (1, True))]
+        reg = Registry()
+        shared = [observe_state(dataclasses.replace(state, registry=reg))
+                  for state in states]
+        assert repr(shared) == repr([observe_state(dataclasses.replace(
+            state, registry=Registry())) for state in states])
+        assert len(set(map(repr, shared))) == 4 and len(step_keys(reg)) == 4
+
+    def test_copy_starts_empty(self):
+        reg = make_registry()
+        ws = compose("seq(a, b)", reg)
+        observe(ws, "Seq", (), reg, sim.SimConfig())
+        assert step_keys(reg)
+        assert not step_keys(reg.copy())
+
+    def test_nothing_stored_on_services(self):
+        """Running one service on three registries adds the token-game
+        plan to each structure and nothing else to a service or a
+        structure, so long-lived services do not grow with each registry."""
+        reg = make_registry()
+        ws = compose("seq(par(a, b), alt(c, a))", reg)
+        services = [ws] + [reg.lookup(name) for name in ("a", "b", "c")]
+        structs = [s.net.internal for s in services]
+        for struct in structs:  # the structure's own cached views
+            for name, view in vars(InternalStructure).items():
+                if isinstance(view, functools.cached_property):
+                    getattr(struct, name)
+        before = instance_names(services + structs)
+        after = []
+        for _ in range(3):
+            for config in self.CONFIGS:
+                observe(ws, "Seq", (), reg.copy(), config)
+            after.append(instance_names(services + structs))
+        assert after[0] == after[1] == after[2]
+        assert after[0][:len(services)] == before[:len(services)]
+        for was, now in zip(before[len(services):], after[0][len(services):]):
+            assert set(now) - set(was) == {"_token_game_plan"}
+
+    def test_explore_service_uses_no_memo(self, monkeypatch):
+        def no_memo(*args):
+            raise AssertionError("a memo was made")
+
+        reg = make_registry()
+        ws = analysis.inline_isps(compose("par(a, alt(b, c))", reg),
+                                  reg).service
+        expected = analysis.explore_service(ws)
+        monkeypatch.setattr(sim, "_CallMemo", no_memo)
+        monkeypatch.setattr(sim, "_call_memo", no_memo)
+        graph = analysis.explore_service(ws)
+        assert (graph.out, graph.edges) == (expected.out, expected.edges)
+        assert not vars(reg).get("_call_memo")
 
 
 # --- The compiled token game against a full scan -----------------------------
