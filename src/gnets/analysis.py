@@ -358,28 +358,21 @@ def _bind(inputs, toks):
 
 @dataclass(frozen=True)
 class _SuccessorPlan:
-    """What `flat_successors` needs of a flat net, computed once per net.
-    A transition whose first input place is unmarked cannot fire, so a
-    marking tries only the transitions indexed under its places, and those
-    with no input.  Each transition is compiled into a firing kernel, a
-    tuple of
+    """What `flat_successors` needs of a flat net, computed once per net:
+    each transition compiled into a firing kernel, a tuple of
         transition, rank   the transition and its natural-order rank;
-        places             the names of its input places;
+        index, places      its index in the list and its input places;
         zipped             True when it has one input with distinct pattern
                            variables and no free variable: it binds by
                            zipping the pattern with each token;
         free               its free variables, sorted, for the other path.
-    Whether a transition fires, and what its firing does, depends only on
-    the tokens of its input places (and on the net's domains), so the memo
-    `firings` keeps each kernel run: it maps (transition index, the tuple
-    of its input places' token tuples) to the transition's `_local_firings`
-    at those tokens.  The token tuples are exact (`model.exact`), so the key
-    tells the int 1 from the bool True; a no-input transition's key is its
-    index and ().  `flat_successors` fills the memo, which lives as long as
-    the plan, that is, as its `FlatNet`."""
-    kernels: tuple  # per transition, its firing kernel
-    by_first_input: dict  # place -> indexes of the transitions it heads
-    no_input: tuple  # indexes of the transitions with no input
+    A transition's firings depend only on its input places' tokens: the
+    memo `firings` maps a marked (place, tokens) pair, as it is, to those
+    of all of `fed[place]`, and a `joint` transition's (index, input token
+    tuples) to its own; the tuples are exact (`model.exact`), so the int 1
+    and the bool True key apart.  It lives as long as its `FlatNet`."""
+    fed: dict  # place -> kernels of the one-input transitions it feeds
+    joint: tuple  # kernels of the transitions with no input or several
     firings: dict = field(default_factory=dict)  # the memo
 
 
@@ -388,7 +381,7 @@ def _successor_plan(transitions) -> _SuccessorPlan:
     by `natural_key` of their name; names with equal keys share it."""
     keys = [natural_key(t.name) for t in transitions]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    kernels, by_first_input, no_input = [], {}, []
+    fed, joint = {}, []
     for index, (t, key) in enumerate(zip(transitions, keys)):
         needed = guards.condition_vars(t.gate)
         for _, exprs in t.outputs:
@@ -398,13 +391,10 @@ def _successor_plan(transitions) -> _SuccessorPlan:
         free = sorted(needed - bound)
         zipped = (len(t.inputs) == 1 and not free
                   and len(bound) == len(t.inputs[0][1]))
-        kernels.append((t, rank[key], tuple(p for p, _ in t.inputs), zipped,
-                        free))
-        if t.inputs:
-            by_first_input.setdefault(t.inputs[0][0], []).append(index)
-        else:
-            no_input.append(index)
-    return _SuccessorPlan(tuple(kernels), by_first_input, tuple(no_input))
+        places = tuple(p for p, _ in t.inputs)
+        group = fed.setdefault(places[0], []) if len(places) == 1 else joint
+        group.append((t, rank[key], index, places, zipped, free))
+    return _SuccessorPlan(fed, tuple(joint))
 
 
 def _bindings(kernel, local, domains):
@@ -413,7 +403,7 @@ def _bindings(kernel, local, domains):
     zipped kernel binds each token by zip; any other binds every
     combination of input tokens and free-variable values.  A token equal
     to the one before it (tokens are sorted by repr) is skipped."""
-    t, _, _, zipped, free = kernel
+    t, _, _, _, zipped, free = kernel
     pools = [[i for i in range(len(toks))
               if not i or repr(toks[i]) != repr(toks[i - 1])]
              for toks in local]
@@ -438,16 +428,15 @@ def _bindings(kernel, local, domains):
 def _local_firings(kernel, local, domains) -> tuple:
     """The firings of `kernel`'s transition when its input places hold the
     token tuples `local`, in the order of `_bindings`.  A firing is a tuple of
-        sort key          (rank, repr of the binding);
+        sort key          (rank, binding repr, index, position): unique;
         name, pairs       the transition's name and its binding's sorted
                           (variable, value) pairs;
         removed, added    the (place, tokens) pairs of its input places
                           before and after it, an emptied place left out;
         others            (place, tokens) per other place it puts tokens
-                          on, sorted by repr, to be merged with the
-                          tokens the place already holds;
+                          on, sorted by repr, to merge with its tokens;
     each token tuple made exact."""
-    t, rank, places, _, _ = kernel
+    t, rank, index, places, _, _ = kernel
     removed = tuple(zip(places, local))
     firings = []
     for combo, env in _bindings(kernel, local, domains):
@@ -463,50 +452,59 @@ def _local_firings(kernel, local, domains) -> tuple:
             side[pname] = (tuple(sorted(toks + (tok,), key=repr)) if toks
                            else (tok,))
         pairs = tuple(sorted(env.items()))
-        firings.append(((rank, repr(pairs)), t.name, pairs, removed,
-                        tuple((p, exact(toks)) for p, toks in after.items()
-                              if toks),
+        firings.append(((rank, repr(pairs), index, len(firings)), t.name,
+                        pairs, removed, tuple((p, exact(toks)) for p, toks
+                                              in after.items() if toks),
                         tuple((p, exact(toks)) for p, toks in others.items())))
     return tuple(firings)
 
 
 def flat_successors(flat: FlatNet, marking: frozenset):
     """All (transition name, binding, successor) triples of `marking`, which
-    `freeze_marking` or this function made, ordered by the transition's
-    natural-order rank, then by the binding's repr; ties keep the
-    transition list's order.  A successor is frozen too: it is built from
-    the parent's token tuples, replacing those of the places the firing
-    touches.  A candidate transition's firings at the tokens of its input
-    places are taken from the plan's memo, or computed by `_local_firings`
-    and stored there; a computation that raises stores nothing.  Only a
-    firing that puts tokens on an already marked place other than its
-    inputs sorts them into that place's."""
-    plan = flat.plan
-    memo = plan.firings
-    tokens = dict(marking)
-    candidates = set(plan.no_input)
-    for pname in tokens:
-        candidates.update(plan.by_first_input.get(pname, ()))
-    results = []
-    for index in sorted(candidates):
-        kernel = plan.kernels[index]
-        local = tuple(map(tokens.get, kernel[2]))
-        if None in local:  # an unmarked input place
-            continue
-        key = (index, local)
-        firings = memo.get(key)
+    `freeze_marking` or this function made, ordered by transition rank,
+    binding repr, then transition index.  The firings of each marked pair,
+    and of each joint transition whose inputs are marked, come from the
+    plan's memo; misses run in index order, so the lowest-index kernel
+    that raises raises, and are stored only if none raised."""
+    memo, fed, joint = flat.plan.firings, flat.plan.fed, flat.plan.joint
+    found, runs, missed = [], [], {}  # runs: (index, kernel, key, local)
+    for pair in marking:
+        firings = memo.get(pair)
         if firings is None:
-            firings = memo[key] = _local_firings(kernel, local, flat.domains)
-        for sort_key, name, pairs, removed, added, others in firings:
-            marked = [(p, tokens[p]) for p, _ in others if p in tokens]
-            if marked:
-                others = [(p, exact(tuple(sorted(tokens[p] + toks,
-                                                 key=repr))))
-                          if p in tokens else (p, toks) for p, toks in others]
-            results.append((sort_key, (name, pairs, marking.difference(
-                removed, marked).union(added, others))))
-    results.sort(key=itemgetter(0))
-    return [triple for _, triple in results]
+            missed[pair] = ()
+            runs += [(k[2], k, pair, (pair[1],)) for k in fed.get(pair[0], ())]
+        else:
+            found += firings
+    tokens = dict(marking)
+    for kernel in joint:
+        if kernel[3] and kernel[3][0] not in tokens:  # cheaper than map
+            continue
+        local = tuple(map(tokens.get, kernel[3]))
+        key = (kernel[2], local)
+        firings = memo.get(key)
+        if firings is not None:
+            found += firings
+        elif None not in local:  # all its input places marked
+            runs.append((kernel[2], kernel, key, local))
+    runs.sort(key=itemgetter(0))
+    for _, kernel, key, local in runs:
+        firings = _local_firings(kernel, local, flat.domains)
+        missed[key] = missed.get(key, ()) + firings
+        found += firings
+    memo.update(missed)
+    found.sort()  # by sort key, which no two firings share
+    results = []
+    for _, name, pairs, removed, added, others in found:
+        for p, _ in others:
+            if p in tokens:  # sort the new tokens into the place's
+                removed += tuple((q, tokens[q]) for q, _ in others
+                                 if q in tokens)
+                others = [(q, exact(tuple(sorted(tokens[q] + toks, key=repr))))
+                          if q in tokens else (q, toks) for q, toks in others]
+                break
+        results.append((name, pairs,
+                        marking.difference(removed).union(added, others)))
+    return results
 
 
 def reachability(flat: FlatNet, max_states: int = 100000,
@@ -600,20 +598,22 @@ class AnalysisReport:
 
 
 def analyze(graph: StateGraph, goal_places: set) -> AnalysisReport:
-    """Deadlocks, token bound and a shortest witness.  The states are in
-    breadth-first discovery order, so the first goal state is a nearest
-    one, and the first edge into each state leads back to the initial
-    state."""
-    deadlocks = []
-    bound_k = 0
-    goal = None
+    """Deadlocks, token bound and a shortest witness, from one pass over
+    the states' (place, tokens) pairs.  The states are in breadth-first
+    discovery order, so the first goal state is a nearest one, and the
+    first edge into each state leads back to the initial state."""
+    deadlocks, bound_k, goal = [], 0, None
     for state, out in graph.out.items():
         marking = graph.marking_of(state)
-        bound_k = max([bound_k, *(len(toks) for _, toks in marking)])
-        at_goal = any(p in goal_places for p, _ in marking)
-        if at_goal and goal is None:
-            goal = state
-        if not out and not at_goal:
+        at_goal = False
+        for place, toks in marking:
+            if len(toks) > bound_k:
+                bound_k = len(toks)
+            if place in goal_places:
+                at_goal = True
+        if at_goal:
+            goal = state if goal is None else goal
+        elif not out:
             deadlocks.append(marking)
 
     witness = []

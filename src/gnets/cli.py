@@ -246,6 +246,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # checked here, as a command such as `export --format dot` may
+        # never reach the library call that rejects it
+        if getattr(args, "depth_limit", 0) < 0:
+            raise ValueError(f"depth_limit must not be negative, got "
+                             f"{args.depth_limit}")
         return args.func(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -233,18 +233,52 @@ class TestReachability:
             for m in markings]
         assert [len(succs) for succs in memoized] == [3, 3]
 
-    def test_warm_memo_explores_alike(self):
-        """A second exploration of a net, which finds every firing in the
-        memo the first one filled, gives the same graph."""
+    def test_warm_memo_explores_alike(self, monkeypatch):
+        """A cold exploration runs each kernel once per memo key, and every
+        marked (place, tokens) pair of every state becomes a key as it is.
+        A second exploration of the net then runs no kernel and gives the
+        same graph."""
+        runs = []
+        local_firings = analysis._local_firings
+        monkeypatch.setattr(analysis, "_local_firings", lambda *args: (
+            runs.append((args[0][2], repr(args[1]))) or local_firings(*args)))
         for name in ("par4", "anyseq4", "disc3", "book_order"):
             flat, initials = COMPOSED_NETS[name]()
             for initial in initials:
+                runs.clear()
                 cold = analysis.reachability(flat, initial=initial)
-                filled = len(flat.plan.firings)
+                assert runs and len(set(runs)) == len(runs)
+                memo = flat.plan.firings
+                assert all(pair in memo for state in cold.out
+                           for pair in state)
+                filled = dict(memo)
+                runs.clear()
                 warm = analysis.reachability(flat, initial=initial)
-                assert len(flat.plan.firings) == filled
+                assert runs == [] and memo == filled
                 assert warm.edges == cold.edges
                 assert list(warm.out.items()) == list(cold.out.items())
+
+    def test_replaced_net_starts_with_an_empty_memo(self):
+        flat = book_order_flat()
+        explored = graphs(flat)
+        assert flat.plan.firings
+        twin = dataclasses.replace(flat)
+        assert twin.plan.firings == {}
+        assert graphs(twin) == explored
+
+    def test_raising_pair_stores_nothing(self):
+        """t_stuck reads a variable no domain declares: the pair that feeds
+        it is not stored, nor is the state's other pair, and it raises on
+        every try; a state without it is stored."""
+        flat = chain_net({"s": [(0,)], "a": [(0,)]})
+        for _ in range(2):
+            with pytest.raises(UnboundFreeVariable) as info:
+                analysis.flat_successors(flat, freeze_marking(flat.initial))
+            assert info.value.name == "undeclared"
+            assert flat.plan.firings == {}
+        marking = freeze_marking({"s": [(0,)]})
+        assert len(analysis.flat_successors(flat, marking)) == 1
+        assert list(flat.plan.firings) == list(marking)
 
     def test_deterministic(self):
         flat = analysis.flatten(book_order_service(), "Command",

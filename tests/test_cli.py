@@ -262,7 +262,8 @@ class TestCompose:
                      str(registry_dir)]) == 0
 
     @pytest.mark.parametrize("command", [
-        ["simulate"], ["analyze"], ["export", "--format", "prod"]])
+        ["simulate"], ["analyze"], ["export", "--format", "prod"],
+        ["export", "--format", "dot"]])
     def test_negative_depth_limit_exit_2(self, tmp_path, registry_dir,
                                          capsys, command):
         out = tmp_path / "nested.json"

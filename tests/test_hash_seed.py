@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 from gnets import algebra, analysis, dsl, sim
+from gnets.errors import GnetError
 from gnets.guards import Var
 from gnets.model import (AttributeSpec, GNetModel, GspSpec,
                          InternalStructure, MethodSpec, Place, PlaceKind,
@@ -37,16 +38,38 @@ state = sim.init_state(ws, algebra.main_method(ws).name, registry=reg,
 print("\\n".join(sim.format_trace(sim.run(state)[0])))
 # T_p01 and T_p1 tie under natural_key, and so do their results: only the
 # transition list orders them, whichever marked place comes first
+# (the last one has two inputs, and shares its head place p2 with the
+# second)
 flat = analysis.FlatNet(
     places={}, domains={},
     initial={p: [(1,)] for p in ("p01", "p1", "p2", "p10")},
-    transitions=[analysis.FlatTransition(name, ((p, ("x",)),),
+    transitions=[analysis.FlatTransition(name, inputs,
                                          (("q", (Var("x"),)),))
-                 for name, p in (("T_p1", "p10"), ("T_p01", "p2"),
-                                 ("T_p1", "p01"), ("T_p01", "p1"))])
+                 for name, inputs in (
+                     ("T_p1", (("p10", ("x",)),)),
+                     ("T_p01", (("p2", ("x",)),)),
+                     ("T_p1", (("p01", ("x",)),)),
+                     ("T_p01", (("p1", ("x",)),)),
+                     ("T_p1", (("p2", ("x",)), ("p10", ("x",)))))])
 for name, binding, succ in analysis.flat_successors(
         flat, freeze_marking(flat.initial)):
     print(name, binding, analysis.canonical_marking(succ))
+# every transition reads a variable of its own that no domain declares:
+# the lowest-index one raises, whichever marked place comes first, and
+# with it gone the next one (t10, with two inputs)
+places = ["p%d" % i for i in range(12)]
+raising = [analysis.FlatTransition("t%d" % i, ((p, ("x",)),),
+                                   (("q", (Var("u%d" % i),)),))
+           for i, p in enumerate(places)]
+raising[10] = analysis.FlatTransition(
+    "t10", (("p10", ("x",)), ("p3", ("y",))), (("q", (Var("u10"),)),))
+for transitions in (raising[::-1], raising[-2::-1]):
+    flat = analysis.FlatNet(places={}, domains={}, transitions=transitions,
+                            initial={p: [(1,)] for p in places})
+    try:
+        analysis.flat_successors(flat, freeze_marking(flat.initial))
+    except GnetError as exc:
+        print(type(exc).__name__, exc)
 # t1 feeds the ISP places p01 and p1, which tie under natural_key: their
 # calls run in the order of t1's output places, whatever the seed
 calls = Registry()
