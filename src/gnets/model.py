@@ -287,7 +287,9 @@ def exact(values: tuple) -> tuple:
     """`values` under the value rule: two values (ints, bools, strs and
     tuples of them) are the same when they have the same type and are equal,
     that is, when their reprs are equal; values sort by repr.  As `==` makes
-    1 equal True, a tuple holding a bool is returned as an `_Exact`."""
+    1 equal True, a tuple holding a bool is returned as an `_Exact`; any
+    other is returned as it is, so the rule holds between two exact
+    tuples, not between an exact tuple and a raw one holding a bool."""
     text = repr(values)
     if "True" in text or "False" in text:
         values = tuple.__new__(_Exact, values)
