@@ -447,10 +447,10 @@ def graphs(flat):
 
 
 class TestCompiledEngine:
-    """`flat_successors` tries only the transitions whose first input place
-    is marked, and fires each through the kernel its plan compiled once per
-    transition list; its results must equal a full scan's, order
-    included."""
+    """`flat_successors` looks up each marked (place, tokens) pair for the
+    one-input transitions that place feeds, and scans the transitions with
+    no input or several; its results must equal a full scan's, order and
+    errors included."""
 
     @given(st.lists(st.one_of(flat_transitions, copy_transitions),
                     min_size=2, max_size=6),
