@@ -26,6 +26,14 @@ def main_method(ws: WebService) -> MethodSpec:
     return candidates[0]
 
 
+def method(ws: WebService, name: str = None) -> MethodSpec:
+    """The method `name` of `ws`, or its main method when `name` is None."""
+    found = main_method(ws) if name is None else ws.net.gsp.method(name)
+    if found is None:
+        raise UnknownMethod(ws.name, name)
+    return found
+
+
 def is_empty_service(ws: WebService) -> bool:
     """Whether `ws` has the empty service's net: one place, no transition."""
     struct = ws.net.internal

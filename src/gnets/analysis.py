@@ -17,11 +17,10 @@ from itertools import product
 from operator import itemgetter
 
 from . import algebra, guards, sim
-from .errors import (DepthLimitExceeded, UnboundFreeVariable,
-                     UnflattenableIsp, UnknownMethod)
+from .errors import DepthLimitExceeded, UnboundFreeVariable, UnflattenableIsp
 from .model import (TAU, GNetModel, InternalStructure, PlaceKind, Registry,
-                    WebService, apart, exact, freeze_marking, natural_key,
-                    same)
+                    WebService, apart, closure, exact, freeze_marking,
+                    natural_key, same)
 
 # --- ISP inlining ----------------------------------------------------------
 
@@ -35,21 +34,8 @@ class InlineResult:
 def restrict_to_method(ws: WebService, method_name: str):
     """The sub-structure realizing one method: nodes forward-reachable from
     its initial place and backward-reachable from its goal places."""
-    method = ws.net.gsp.method(method_name)
-    if method is None:
-        raise UnknownMethod(ws.name, method_name)
+    method = algebra.method(ws, method_name)
     struct = ws.net.internal
-
-    def closure(seeds, neighbours):
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            for m in neighbours(stack.pop()):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        return seen
-
     fwd = closure({method.init_place}, struct.post)
     bwd = closure(set(method.goal_places), struct.pre)
     keep = fwd & bwd
@@ -240,10 +226,7 @@ def flatten(ws: WebService, method_name: str = None, args: dict = None
     for p in struct.places:
         if p.kind is PlaceKind.ISP:
             raise UnflattenableIsp(f"place {p.id} is still an ISP; inline first")
-    method = (ws.net.gsp.method(method_name) if method_name
-              else algebra.main_method(ws))
-    if method is None:
-        raise UnknownMethod(ws.name, method_name)
+    method = algebra.method(ws, method_name)
     args = dict(args or {})
 
     attrs = ws.net.gsp.attributes
@@ -545,7 +528,6 @@ def explore_service(ws: WebService, method_name: str = None, args=(),
         if p.kind is PlaceKind.ISP:
             raise UnflattenableIsp(
                 f"place {p.id} is an ISP; inline before exploring")
-    method_name = method_name or algebra.main_method(ws).name
     state0 = sim.init_state(ws, method_name, args)
 
     graph = StateGraph(initial=(state0.marking, state0.env),

@@ -49,10 +49,6 @@ def _parse_cli_value(text):
         return text  # bare words are string values
 
 
-def _resolve_method(ws, name):
-    return name or algebra.main_method(ws).name
-
-
 def _load_valid(args):
     """The model file's service; raises InvalidModel when `validate`
     rejects it."""
@@ -99,10 +95,9 @@ def cmd_simulate(args):
     config = sim.SimConfig(policy=args.policy, seed=args.seed,
                            depth_limit=args.depth_limit,
                            max_steps=args.max_steps)
-    method = _resolve_method(ws, args.method)
     call_args = [_parse_cli_value(a) for a in args.args]
     try:
-        state = sim.init_state(ws, method, call_args, registry=reg,
+        state = sim.init_state(ws, args.method, call_args, registry=reg,
                                config=config)
         state, outcome = sim.run(state)
     except SubnetDeadlock as exc:

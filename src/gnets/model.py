@@ -520,15 +520,19 @@ class BlockFragment:
             if a in adj and b in adj:
                 adj[a].add(b)
                 adj[b].add(a)
-        seen = set()
-        stack = [next(iter(sorted(nodes)))]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(adj[n])
-        return seen == nodes
+        return closure({min(nodes)}, adj.__getitem__) == nodes
+
+
+def closure(seeds, neighbours) -> set:
+    """The nodes reachable from `seeds` by `neighbours`, seeds included."""
+    seen = set(seeds)
+    stack = list(seeds)
+    while stack:
+        for m in neighbours(stack.pop()):
+            if m not in seen:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 # --- Registry --------------------------------------------------------------

@@ -93,90 +93,75 @@ def export_prod(flat: FlatNet) -> str:
 # --- Minimal reader (round-trip testing only) ------------------------------
 
 
-def _parse_tuple(text, pos):
-    start = text.index("<.", pos)
-    end = text.index(".>", start)
-    inner = text[start + 2:end].strip()
-    return inner, end + 2
+def _tuples(text, sep, line):
+    """The (head, inscription) pair of each `sep`-separated item
+    `head<.e1, ..., en.>` of `text`, a marking or a flow clause of `line`."""
+    pairs = []
+    for item in text.split(sep) if text.strip() else ():
+        head, mark, rest = item.strip().partition("<.")
+        if not (mark and rest.endswith(".>")):
+            raise ParseError(0, f"malformed tuple {item!r} in {line!r}")
+        pairs.append((head.strip(), guards.parse_inscription(rest[:-2])))
+    return pairs
 
 
-def _parse_flow(line, expect_keyword):
-    body = line.strip()
-    if not body.startswith(expect_keyword):
-        raise ParseError(0, f"expected {expect_keyword!r} in {line!r}")
-    body = body[len(expect_keyword):].strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ParseError(0, f"malformed flow clause: {line!r}")
-    body = body[1:-1].strip()
-    entries = []
-    for chunk in body.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        pname, _, tup = chunk.partition(":")
-        inner, _ = _parse_tuple(tup, 0)
-        entries.append((pname.strip(), guards.parse_inscription(inner)))
-    return entries
+def _flow(line, keyword):
+    """The (place, inscription) pairs of `keyword { place: <...>; ... }`."""
+    word, _, body = line.partition("{")
+    if word.strip() != keyword or not body.endswith("}"):
+        raise ParseError(0, f"expected {keyword!r} {{...}}: {line!r}")
+    pairs = _tuples(body[:-1].strip().removesuffix(";"), ";", line)
+    if not all(head.endswith(":") for head, _ in pairs):
+        raise ParseError(0, f"expected place: <...> in {line!r}")
+    return [(head[:-1].strip(), exprs) for head, exprs in pairs]
 
 
 def reparse_prod(text: str) -> FlatNet:
-    """Reconstruct a FlatNet from our own export dialect.  Place signatures
-    are recovered from the first arc tuple seen at each place; domain
+    """Reconstruct a FlatNet from our own export dialect in one pass over
+    its lines; raises ParseError on malformed input.  Place signatures are
+    recovered from the first arc tuple seen at each place; domain
     declarations are not part of the format."""
     places = {}
     signatures = {}
     initial = {}
     transitions = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    i = 0
-    while i < len(lines):
-        line = lines[i].strip()
+    lines = (line for line in map(str.strip, text.splitlines()) if line)
+    for line in lines:
         if line.startswith("#place"):
             rest = line[len("#place"):].strip()
             name, _, mk = rest.partition(" ")
             places[name] = None
             mk = mk.strip()
             if mk:
-                if not (mk.startswith("mk(") and mk.endswith(")")):
+                pairs = _tuples(mk[3:-1], "+", line)
+                if not (mk.startswith("mk(") and mk.endswith(")")) or any(
+                        head for head, _ in pairs):
                     raise ParseError(0, f"malformed marking: {line!r}")
-                tokens = []
-                pos = 3
-                while pos < len(mk) - 1:
-                    inner, pos = _parse_tuple(mk, pos)
-                    exprs = guards.parse_inscription(inner)
-                    tokens.append(tuple(guards.eval_expr(e, {})
-                                        for e in exprs))
-                    if mk[pos:pos + 1] == "+":
-                        pos += 1
-                initial[name] = tokens
-            i += 1
+                initial[name] = [tuple(guards.eval_expr(e, {}) for e in exprs)
+                                 for _, exprs in pairs]
         elif line.startswith("#trans"):
             name = line[len("#trans"):].strip()
-            ins = _parse_flow(lines[i + 1], "in")
-            outs = _parse_flow(lines[i + 2], "out")
-            gate_line = lines[i + 3].strip()
+            ins = _flow(next(lines, ""), "in")
+            outs = _flow(next(lines, ""), "out")
+            gate_line = next(lines, "")
             if not gate_line.startswith("gate"):
                 raise ParseError(0, f"expected a gate line: {gate_line!r}")
             gate_text = gate_line[len("gate"):].strip().rstrip(";").strip()
             gate = guards.parse_condition(gate_text)
-            if lines[i + 4].strip() != "#endtr":
+            if next(lines, "") != "#endtr":
                 raise ParseError(0, "expected #endtr")
-            inputs = []
-            for pname, exprs in ins:
-                pattern = tuple(e.name for e in exprs)
-                inputs.append((pname, pattern))
-                signatures.setdefault(pname, pattern)
-            for pname, exprs in outs:
-                signatures.setdefault(
-                    pname,
-                    tuple(e.name for e in exprs
-                          if isinstance(e, guards.Var)))
+            if not all(isinstance(e, guards.Var) for _, es in ins for e in es):
+                raise ParseError(0, f"an input pattern of {name} holds "
+                                    f"more than names")
+            for pname, exprs in ins + outs:
+                signatures.setdefault(pname, tuple(
+                    e.name for e in exprs if isinstance(e, guards.Var)))
             origin = None if name.startswith("T_") else name
             transitions.append(FlatTransition(
-                name=name, inputs=tuple(inputs),
+                name=name,
+                inputs=tuple((p, tuple(e.name for e in es)) for p, es in ins),
                 outputs=tuple((p, tuple(e)) for p, e in outs),
                 gate=gate, origin=origin))
-            i += 5
         else:
             raise ParseError(0, f"unexpected line: {line!r}")
     flat_places = {name: FlatPlace(name, signatures.get(name, ()))

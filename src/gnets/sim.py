@@ -13,9 +13,9 @@ event of the firing that put the token.  A call that stops short of its goal
 raises `SubnetDeadlock` with its outcome, partial trace and final marking.
 
 The first `enabled` on a structure compiles it into a plan kept on the
-structure (`_Plan`): what each transition reads and writes, and an index
-from each place to the transitions whose first preset place it is, so a
-state tries only the transitions its marked places head.  The plan holds
+structure: one `_Step` per transition, in list order, holding what the
+transition reads and writes.  A state tries, in list order, each transition
+with no preset or whose first preset place is marked.  The plan holds
 nothing of the service's interface (domains, attributes, goals), which
 services sharing a structure may declare differently.
 
@@ -46,9 +46,9 @@ import random
 from dataclasses import dataclass, field, replace
 from itertools import product
 
-from . import guards
+from . import algebra, guards
 from .errors import (ArityMismatch, DepthLimitExceeded, SubnetDeadlock,
-                     UnboundFreeVariable, UnknownMethod, UnknownService)
+                     UnboundFreeVariable, UnknownService)
 from .model import (PlaceKind, Registry, WebService, exact, freeze_marking,
                     natural_key, same)
 
@@ -124,16 +124,15 @@ def check_arity(ws: WebService, method, args):
 
 def init_state(ws: WebService, method_name: str, args=(), registry=None,
                config: SimConfig = None, depth: int = 0) -> SimState:
+    """The state that starts `method_name` of `ws` (None: its main one)."""
     config = config or SimConfig()
-    method = ws.net.gsp.method(method_name)
-    if method is None:
-        raise UnknownMethod(ws.name, method_name)
+    method = algebra.method(ws, method_name)
     check_arity(ws, method, args)
     fields = {pname: value for (pname, _), value in zip(method.params, args)}
     init, token = method.init_place, _freeze(fields)
     env = {a.name: a.initial for a in ws.net.gsp.attributes
            if a.initial is not None}
-    state = SimState(ws=ws, method_name=method_name,
+    state = SimState(ws=ws, method_name=method.name,
                      marking=freeze_marking({init: [token]}),
                      env=_freeze(env), depth=depth, registry=registry,
                      config=config)
@@ -165,20 +164,10 @@ class _Step:
     outputs: tuple
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The token game's view of a structure.  A transition whose first
-    preset place is unmarked cannot fire, so a marking tries only the
-    transitions indexed under its places, and those with no preset."""
-    steps: tuple  # per transition of the list, its _Step
-    by_first_input: dict  # place -> indexes of the steps it heads
-    no_input: list  # indexes of the steps with no preset place
-
-
-def _compile(struct) -> _Plan:
+def _compile(struct) -> tuple:
     ins_map, place_map = struct.inscription_map, struct.place_map
-    steps, by_first_input, no_input = [], {}, []
-    for index, tid in enumerate(struct.transitions):
+    steps = []
+    for tid in struct.transitions:
         inputs = tuple((pid, tuple(e.name for e in ins_map.get((pid, tid))
                                    or ()))
                        for pid in struct.pre(tid))
@@ -200,11 +189,7 @@ def _compile(struct) -> _Plan:
             needed.update(names)
         steps.append(_Step(tid, inputs, cond, actions,
                            tuple(sorted(needed)), tuple(outputs)))
-        if inputs:
-            by_first_input.setdefault(inputs[0][0], []).append(index)
-        else:
-            no_input.append(index)
-    return _Plan(tuple(steps), by_first_input, no_input)
+    return tuple(steps)
 
 
 # --- Enabling --------------------------------------------------------------
@@ -282,16 +267,14 @@ def enabled(state: SimState):
     """The firings of the current marking, ordered by transition name in
     natural order, then by binding, then in enumeration order."""
     struct = state.ws.net.internal
-    plan = struct.__dict__.get("_token_game_plan")
-    if plan is None:  # kept on the instance, as its cached views are
-        plan = struct.__dict__["_token_game_plan"] = _compile(struct)
+    steps = struct.__dict__.get("_token_game_plan")
+    if steps is None:  # kept on the instance, as its cached views are
+        steps = struct.__dict__["_token_game_plan"] = _compile(struct)
     marking, env, gsp = dict(state.marking), dict(state.env), state.ws.net.gsp
-    candidates = list(plan.no_input)
-    for pid in marking:
-        candidates += plan.by_first_input.get(pid, ())
     results = []
-    for index in sorted(candidates):
-        step = plan.steps[index]
+    for step in steps:
+        if step.inputs and step.inputs[0][0] not in marking:
+            continue
         results += [Firing(step.tid, binding, tuple(
             (pid, token) for (pid, _), (_, token) in zip(step.inputs, combo)),
             state, step, tuple(i for i, _ in combo))
@@ -384,9 +367,7 @@ def invoke_isp(state: SimState, pid: str, token: tuple):
     if state.registry is None:
         raise UnknownService(place.invoked_gnet)
     svc = state.registry.lookup(place.invoked_gnet)
-    method = svc.net.gsp.method(place.using_method)
-    if method is None:
-        raise UnknownMethod(svc.name, place.using_method)
+    method = algebra.method(svc, place.using_method)
 
     fields = dict(token)
     args = []
@@ -435,7 +416,7 @@ def run(state: SimState):
     GOAL / DEADLOCK / STEP_LIMIT.  A draw-free step is computed once per
     registry (see the module docstring)."""
     config, ws = state.config, state.ws
-    goals = ws.net.gsp.method(state.method_name).goal_places
+    goals = algebra.method(ws, state.method_name).goal_places
     # a run with no registry keeps its memo to itself
     memo = _CallMemo() if state.registry is None else _call_memo(
         state.registry)

@@ -1,10 +1,13 @@
 """Shared fixture nets: the book-ordering flows used across the analysis,
 export and acceptance tests."""
 
+from dataclasses import replace
+
+from gnets import algebra
 from gnets.guards import parse_action, parse_condition, parse_inscription
 from gnets.model import (GOAL, TAU, AttributeSpec, BlockFragment, GNetModel,
-                         GspSpec, InternalStructure, MethodSpec, OpLabel,
-                         Place, PlaceKind, WebService)
+                         GspSpec, InternalStructure, IspRef, MethodSpec,
+                         OpLabel, Place, PlaceKind, WebService)
 
 
 def _ins(text):
@@ -150,6 +153,21 @@ def stuck_service():
     return WebService(name="Stuck", desc="stalls after one step",
                       component_services=frozenset({"Stuck"}),
                       net=GNetModel(GspSpec(methods=(method,)), struct))
+
+
+def missing_method_service():
+    """seq(a, b) over atomic a and b, whose ISP into b calls the method
+    Nope, which b lacks.  `validate` accepts it, as it reads no
+    registry."""
+    ws = algebra.sequence(algebra.atomic("a", "op-a"),
+                          algebra.atomic("b", "op-b"))
+    struct = ws.net.internal
+    places = tuple(replace(p, using_method="Nope") if p.invoked_gnet == "b"
+                   else p for p in struct.places)
+    labels = tuple((pid, IspRef("b", "Nope") if lab == IspRef("b", "Atomic")
+                    else lab) for pid, lab in struct.labels)
+    return replace(ws, net=GNetModel(ws.net.gsp, replace(
+        struct, places=places, labels=labels)))
 
 
 def mixed_values_service():

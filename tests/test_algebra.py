@@ -3,12 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_acceptance
-from fixtures import treat_command_block, treat_command_service
-from gnets import algebra, analysis, guards
+from fixtures import (missing_method_service, treat_command_block,
+                      treat_command_service)
+from gnets import algebra, analysis, guards, sim
 from gnets.errors import (EmptyBranchSet, EmptyReplacement, MalformedBlock,
-                          MissingReqMethod)
+                          MissingReqMethod, UnknownMethod)
 from gnets.model import (BlockFragment, GoalLabel, InternalStructure, IspRef,
-                         OpLabel, Place, PlaceKind, TauLabel, validate)
+                         OpLabel, Place, PlaceKind, Registry, TauLabel,
+                         validate)
 
 
 @pytest.fixture
@@ -186,6 +188,36 @@ class TestWithRequestMethod:
     def test_main_method_ignores_req(self, s1):
         ws = algebra.with_request_method(s1)
         assert algebra.main_method(ws).name == "Atomic"
+
+
+class TestMethodLookup:
+    """`algebra.method(ws, name)` is the one method lookup: None selects the
+    main method, and a name `ws` lacks raises UnknownMethod naming the
+    service and the method, whichever layer looks it up."""
+
+    def test_none_selects_the_main_method(self, s1):
+        assert algebra.method(s1) is algebra.main_method(s1)
+        assert sim.init_state(s1, None) == sim.init_state(s1, "Atomic")
+        assert analysis.flatten(s1) == analysis.flatten(s1, "Atomic")
+
+    @pytest.mark.parametrize("name", ["Nope", ""])
+    def test_flatten_names_the_missing_method(self, s1, name):
+        with pytest.raises(UnknownMethod) as info:
+            analysis.flatten(s1, name)
+        assert (info.value.service, info.value.method) == ("S1", name)
+
+    @pytest.mark.parametrize("layer", ["inline_isps", "run"])
+    def test_isp_calling_a_missing_method(self, layer):
+        ws, reg = missing_method_service(), Registry()
+        for name in "ab":
+            reg.insert(algebra.atomic(name, f"op-{name}"))
+        assert validate(ws).ok
+        with pytest.raises(UnknownMethod) as info:
+            if layer == "inline_isps":
+                analysis.inline_isps(ws, reg)
+            else:
+                sim.run(sim.init_state(ws, None, registry=reg))
+        assert (info.value.service, info.value.method) == ("b", "Nope")
 
 
 class TestRefine:

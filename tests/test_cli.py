@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import test_acceptance
 
 from fixtures import (book_order_service, gated_false_service,
-                      mixed_values_service, stuck_service,
-                      treat_command_block)
+                      missing_method_service, mixed_values_service,
+                      stuck_service, treat_command_block)
 from gnets import algebra, dsl, io
 from gnets.cli import main
 from gnets.model import IspRef, Place, PlaceKind, validate
@@ -422,6 +422,18 @@ class TestAnalyze:
                      "--max-states", "0"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnknownMethod:
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_isp_calling_a_missing_method_exit_1(self, command, tmp_path,
+                                                 registry_dir, capsys):
+        path = tmp_path / "missing.json"
+        io.save_service(missing_method_service(), path)
+        assert main([command, str(path), "--registry",
+                     str(registry_dir)]) == 1
+        assert capsys.readouterr().err == \
+            "error: service 'b' has no method 'Nope'\n"
 
 
 class TestArity:
