@@ -129,28 +129,6 @@ def test_criterion_02_closure_of_random_terms():
     assert elapsed < 30.0, f"closure sweep took {elapsed:.1f}s"
 
 
-def test_criterion_02_sweep_runs_end_or_raise_a_gnet_error():
-    """The token game on the first 300 terms of the closure sweep, with
-    "req" for each parameter, under `det` and under random seed 1, one
-    registry copy per policy: every run ends in Goal, Deadlock or StepLimit,
-    or raises a GnetError, never another exception.  The counts of each
-    are not pinned: the data-flow rule between the engines changes them."""
-    rng = random.Random(20240817)
-    reg = make_registry()
-    services = [dsl.eval_expr(random_term(rng, 5), reg) for _ in range(300)]
-    for config in (sim.SimConfig(max_steps=300),
-                   sim.SimConfig(policy="random", seed=1, max_steps=300)):
-        copy = reg.copy()
-        for ws in services:
-            try:
-                args = ["req"] * len(algebra.method(ws).params)
-                _, outcome = sim.run(sim.init_state(
-                    ws, None, args, registry=copy, config=config))
-            except GnetError:
-                continue
-            assert outcome in (sim.GOAL, sim.DEADLOCK, sim.STEP_LIMIT)
-
-
 # -- 3 ----------------------------------------------------------------------
 
 def test_criterion_03_arbitrary_sequence_mutual_exclusion():
@@ -359,3 +337,25 @@ def test_criterion_10_guard_language_round_trip():
         "B := true"
     assert guards.print_condition(
         guards.parse_condition("Available == false")) == "Available == false"
+
+
+def test_criterion_11_sweep_runs_end_or_raise_a_gnet_error():
+    """The token game on the first 300 terms of the closure sweep, with
+    "req" for each parameter, under `det` and under random seed 1, one
+    registry copy per policy: every run ends in Goal, Deadlock or StepLimit,
+    or raises a GnetError, never another exception.  The counts of each
+    are not pinned: the data-flow rule between the engines changes them."""
+    rng = random.Random(20240817)
+    reg = make_registry()
+    services = [dsl.eval_expr(random_term(rng, 5), reg) for _ in range(300)]
+    for config in (sim.SimConfig(max_steps=300),
+                   sim.SimConfig(policy="random", seed=1, max_steps=300)):
+        copy = reg.copy()
+        for ws in services:
+            try:
+                args = ["req"] * len(algebra.method(ws).params)
+                _, outcome = sim.run(sim.init_state(
+                    ws, None, args, registry=copy, config=config))
+            except GnetError:
+                continue
+            assert outcome in (sim.GOAL, sim.DEADLOCK, sim.STEP_LIMIT)
