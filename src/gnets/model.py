@@ -511,10 +511,8 @@ class BlockFragment:
         s = self.structure
         if not self.entries or not self.exits:
             return False
-        # connectivity over the undirected arc graph
+        # connectivity over the undirected arc graph; entries are nodes
         nodes = {p.id for p in s.places} | set(s.transitions)
-        if not nodes:
-            return False
         adj = {n: set() for n in nodes}
         for a, b in s.arcs:
             if a in adj and b in adj:

@@ -18,6 +18,8 @@ consumed.
 
 from __future__ import annotations
 
+import re
+
 from . import guards
 from .analysis import FlatNet, FlatPlace, FlatTransition
 from .errors import ParseError
@@ -92,12 +94,14 @@ def export_prod(flat: FlatNet) -> str:
 
 # --- Minimal reader (round-trip testing only) ------------------------------
 
+# per separator, its match outside a "string": an even number of quotes follows
+_SEPARATOR = {s: re.compile(rf'\{s}(?=(?:[^"]*"[^"]*")*[^"]*$)') for s in "+;"}
+
 
 def _tuples(text, sep, line):
-    """The (head, inscription) pair of each `sep`-separated item
-    `head<.e1, ..., en.>` of `text`, a marking or a flow clause of `line`."""
+    """The (head, inscription) pair of each `head<.e1, ..., en.>` in `text`."""
     pairs = []
-    for item in text.split(sep) if text.strip() else ():
+    for item in _SEPARATOR[sep].split(text) if text.strip() else ():
         head, mark, rest = item.strip().partition("<.")
         if not (mark and rest.endswith(".>")):
             raise ParseError(0, f"malformed tuple {item!r} in {line!r}")
@@ -106,30 +110,32 @@ def _tuples(text, sep, line):
 
 
 def _flow(line, keyword):
-    """The (place, inscription) pairs of `keyword { place: <...>; ... }`."""
+    """The (place, inscription, names of its variables) of each arc of the
+    flow clause `line`."""
     word, _, body = line.partition("{")
     if word.strip() != keyword or not body.endswith("}"):
         raise ParseError(0, f"expected {keyword!r} {{...}}: {line!r}")
-    pairs = _tuples(body[:-1].strip().removesuffix(";"), ";", line)
-    if not all(head.endswith(":") for head, _ in pairs):
-        raise ParseError(0, f"expected place: <...> in {line!r}")
-    return [(head[:-1].strip(), exprs) for head, exprs in pairs]
+    arcs = []
+    for head, exprs in _tuples(body[:-1].strip().removesuffix(";"), ";", line):
+        if not head.endswith(":"):
+            raise ParseError(0, f"expected place: <...> in {line!r}")
+        arcs.append((head[:-1].strip(), exprs, tuple(
+            [e.name for e in exprs if isinstance(e, guards.Var)])))
+    return arcs
 
 
 def reparse_prod(text: str) -> FlatNet:
-    """Reconstruct a FlatNet from our own export dialect in one pass over
-    its lines; raises ParseError on malformed input.  Place signatures are
-    recovered from the first arc tuple seen at each place; domain
-    declarations are not part of the format."""
+    """Reconstruct a FlatNet from our own export dialect in one pass, or
+    raise ParseError.  Place signatures are recovered from the first arc
+    tuple seen at each place; domain declarations are not in the format."""
     places = {}
     signatures = {}
     initial = {}
     transitions = []
-    lines = (line for line in map(str.strip, text.splitlines()) if line)
+    lines = filter(None, map(str.strip, text.splitlines()))
     for line in lines:
         if line.startswith("#place"):
-            rest = line[len("#place"):].strip()
-            name, _, mk = rest.partition(" ")
+            name, _, mk = line[len("#place"):].strip().partition(" ")
             places[name] = None
             mk = mk.strip()
             if mk:
@@ -146,21 +152,17 @@ def reparse_prod(text: str) -> FlatNet:
             gate_line = next(lines, "")
             if not gate_line.startswith("gate"):
                 raise ParseError(0, f"expected a gate line: {gate_line!r}")
-            gate_text = gate_line[len("gate"):].strip().rstrip(";").strip()
-            gate = guards.parse_condition(gate_text)
+            gate = guards.parse_condition(gate_line[len("gate"):].rstrip(";"))
             if next(lines, "") != "#endtr":
                 raise ParseError(0, "expected #endtr")
-            if not all(isinstance(e, guards.Var) for _, es in ins for e in es):
-                raise ParseError(0, f"an input pattern of {name} holds "
-                                    f"more than names")
-            for pname, exprs in ins + outs:
-                signatures.setdefault(pname, tuple(
-                    e.name for e in exprs if isinstance(e, guards.Var)))
+            if any(len(names) < len(es) for _, es, names in ins):
+                raise ParseError(0, f"{name}: an input holds a non-name")
+            for pname, _, names in ins + outs:
+                signatures.setdefault(pname, names)
             origin = None if name.startswith("T_") else name
             transitions.append(FlatTransition(
-                name=name,
-                inputs=tuple((p, tuple(e.name for e in es)) for p, es in ins),
-                outputs=tuple((p, tuple(e)) for p, e in outs),
+                name=name, inputs=tuple((p, names) for p, _, names in ins),
+                outputs=tuple((p, es) for p, es, _ in outs),
                 gate=gate, origin=origin))
         else:
             raise ParseError(0, f"unexpected line: {line!r}")

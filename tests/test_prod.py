@@ -135,6 +135,20 @@ class TestRoundTrip:
         assert back.initial == {p: [tuple(t) for t in toks]
                                 for p, toks in initial.items() if toks}
 
+    def test_separators_inside_strings(self):
+        """A "+" or ";" inside a string splits no token and no arc."""
+        flat = book_order_flat()
+        transitions = tuple(
+            replace(t, outputs=tuple((p, (guards.Lit("c;d"),) + exprs[1:])
+                                     for p, exprs in t.outputs))
+            if t.name == "T1" else t for t in flat.transitions)
+        flat = replace(flat, transitions=transitions,
+                       initial={"P1f": [(1, "a+b"), (2, "c;d")]})
+        back = prod.reparse_prod(prod.export_prod(flat))
+        assert back.initial == flat.initial
+        assert {t.name: t for t in back.transitions} == \
+            {t.name: t for t in flat.transitions}
+
     def test_malformed_input_raises_parse_error(self, malformed):
         try:
             prod.reparse_prod(malformed)
