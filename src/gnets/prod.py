@@ -94,8 +94,8 @@ def export_prod(flat: FlatNet) -> str:
 
 # --- Minimal reader (round-trip testing only) ------------------------------
 
-# per separator, its match outside a "string": an even number of quotes follows
-_SEPARATOR = {s: re.compile(rf'\{s}(?=(?:[^"]*"[^"]*")*[^"]*$)') for s in "+;"}
+# per separator, its match that the next item's head and `<.` follow
+_SEPARATOR = {s: re.compile(rf'\{s}(?=[^<>"]*<\.)') for s in "+;"}
 
 
 def _tuples(text, sep, line):

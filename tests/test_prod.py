@@ -135,8 +135,9 @@ class TestRoundTrip:
         assert back.initial == {p: [tuple(t) for t in toks]
                                 for p, toks in initial.items() if toks}
 
-    def test_separators_inside_strings(self):
-        """A "+" or ";" inside a string splits no token and no arc."""
+    def test_separators_inside_tuples(self):
+        """A "+" or ";" inside a tuple, in a string or an expression,
+        splits no token and no arc."""
         flat = book_order_flat()
         transitions = tuple(
             replace(t, outputs=tuple((p, (guards.Lit("c;d"),) + exprs[1:])
@@ -148,6 +149,8 @@ class TestRoundTrip:
         assert back.initial == flat.initial
         assert {t.name: t for t in back.transitions} == \
             {t.name: t for t in flat.transitions}
+        assert prod.reparse_prod("#place P1f mk(<.1 + 2.>+<.3.>)\n"
+                                 ).initial == {"P1f": [(3,), (3,)]}
 
     def test_malformed_input_raises_parse_error(self, malformed):
         try:
