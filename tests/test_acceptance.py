@@ -344,7 +344,7 @@ def test_criterion_11_sweep_runs_end_or_raise_a_gnet_error():
     "req" for each parameter, under `det` and under random seed 1, one
     registry copy per policy: every run ends in Goal, Deadlock or StepLimit,
     or raises a GnetError, never another exception.  The counts of each
-    are not pinned: the data-flow rule between the engines changes them."""
+    are not pinned: they move as the engines' data-flow rule is fixed."""
     rng = random.Random(20240817)
     reg = make_registry()
     services = [dsl.eval_expr(random_term(rng, 5), reg) for _ in range(300)]
