@@ -9,16 +9,16 @@ flat net needs no separate attribute environment.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from . import algebra, guards, sim
 from .errors import DepthLimitExceeded, UnboundFreeVariable, UnflattenableIsp
-from .model import (TAU, GNetModel, InternalStructure, PlaceKind, Registry,
+from .model import (GNetModel, InternalStructure, PlaceKind, Registry,
                     WebService, apart, closure, exact, freeze_marking,
                     natural_key, same)
 
@@ -32,32 +32,43 @@ class InlineResult:
 
 
 def restrict_to_method(ws: WebService, method_name: str):
-    """The sub-structure realizing one method: nodes forward-reachable from
-    its initial place and backward-reachable from its goal places."""
+    """The method and its sub-structure: the nodes forward-reachable from
+    its initial place and backward-reachable from its goals, less the
+    transitions whose presets leave them (the structure itself if that is
+    all of it), cached on the structure but never referring to it."""
     method = algebra.method(ws, method_name)
     struct = ws.net.internal
-    fwd = closure({method.init_place}, struct.post)
-    bwd = closure(set(method.goal_places), struct.pre)
-    keep = fwd & bwd
-    keep_places = {p.id for p in struct.places if p.id in keep}
-    # drop transitions whose presets leak outside the kept region
-    keep_trans = {t for t in struct.transitions if t in keep
-                  and all(p in keep_places for p in struct.pre(t))}
-    nodes = keep_places | keep_trans
-    sub = InternalStructure(
-        places=tuple(p for p in struct.places if p.id in keep_places),
-        transitions=tuple(t for t in struct.transitions if t in keep_trans),
-        arcs=tuple((a, b) for a, b in struct.arcs
-                   if a in nodes and b in nodes),
-        inscriptions=tuple(((a, b), ins) for (a, b), ins in struct.inscriptions
-                           if a in nodes and b in nodes),
-        conditions=tuple((t, c) for t, c in struct.conditions
-                         if t in keep_trans),
-        actions=tuple((t, a) for t, a in struct.actions if t in keep_trans),
-        labels=tuple((p, lab) for p, lab in struct.labels
-                     if p in keep_places),
-    )
-    return method, sub
+    cache = struct.__dict__.setdefault("_restrictions", {})
+    key = method.init_place, frozenset(method.goal_places)
+    if key not in cache:
+        post, pre = defaultdict(list), defaultdict(list)
+        for a, b in struct.arcs:
+            post[a].append(b)
+            pre[b].append(a)
+        keep = (closure({key[0]}, post.__getitem__)
+                & closure(key[1], pre.__getitem__))
+        places = {p.id for p in struct.places if p.id in keep}
+        trans = {t for t in struct.transitions
+                 if t in keep and places.issuperset(pre[t])}
+        nodes, first = places | trans, itemgetter(0)
+        if (len(nodes) == len(struct.places) + len(struct.transitions)
+                and nodes.issuperset(chain(*struct.arcs, *map(
+                    first, struct.inscriptions)))
+                and trans.issuperset(map(first, struct.conditions))
+                and trans.issuperset(map(first, struct.actions))
+                and places.issuperset(map(first, struct.labels))):
+            cache[key] = None  # the whole structure
+        else:
+            cache[key] = InternalStructure(
+                tuple(p for p in struct.places if p.id in places),
+                tuple(t for t in struct.transitions if t in trans),
+                tuple(a for a in struct.arcs if nodes.issuperset(a)),
+                tuple(i for i in struct.inscriptions
+                      if nodes.issuperset(i[0])),
+                tuple(c for c in struct.conditions if c[0] in trans),
+                tuple(a for a in struct.actions if a[0] in trans),
+                tuple(lab for lab in struct.labels if lab[0] in places))
+    return method, cache[key] or struct
 
 
 def _rename_variables(struct: InternalStructure, mapping: dict):
@@ -78,79 +89,66 @@ def _rename_variables(struct: InternalStructure, mapping: dict):
     )
 
 
-def _invoked_subnet(svc: WebService, method_name: str, rn, attrs):
-    """The renamed subnet of the method an ISP invokes, its entry and exits,
-    and the host attributes `attrs` extended by the service's own."""
-    method, sub = restrict_to_method(svc, method_name)
-
-    # avoid attribute-name capture between host and spliced subnet
-    host_attrs = {a.name for a in attrs}
-    var_map = {a.name: rn(a.name) for a in svc.net.gsp.attributes
-               if a.name in host_attrs}
-    sub = _rename_variables(sub, var_map).renamed(rn)
-    new_attrs = tuple(replace(a, name=var_map.get(a.name, a.name))
-                      for a in svc.net.gsp.attributes)
-    attrs += tuple(a for a in new_attrs if a.name not in host_attrs)
-
-    # the invoked method's goals become plain places of the host
-    goals = {rn(g) for g in method.goal_places}
-    sub = replace(
-        sub,
-        places=tuple(replace(p, kind=PlaceKind.NORMAL)
-                     if p.id in goals else p for p in sub.places),
-        labels=tuple(sorted(
-            {**sub.label_map, **dict.fromkeys(goals, TAU)}.items())))
-    return (sub, rn(method.init_place), sorted(goals, key=natural_key),
-            attrs)
-
-
 def inline_isps(ws: WebService, reg: Registry, depth_limit: int = 16
                 ) -> InlineResult:
-    """Repeatedly replace ISP places by renamed copies of the invoked
-    method's subnet until none remain, one round of ISPs at a time."""
+    """Replace each ISP place by a copy of the invoked method's subnet and
+    the copies' ISPs in turn, a round at a time in natural id order, the
+    copies renamed apart as i1, i2, ... and their goals made plain places.
+    The rounds only name the copies; one substitution builds the result."""
     if depth_limit < 0:
         raise ValueError(f"depth_limit must not be negative, got "
                          f"{depth_limit}")
-    service = ws
-    regions: dict[str, set] = {}
-    counter = 0
+    attrs = list(ws.net.gsp.attributes)
+    groups = []
+    inits = {}  # ISP place id -> init place of its copy
+    isps = [(p.id, p) for p in ws.net.internal.places
+            if p.kind is PlaceKind.ISP]
     rounds = 0
-    while True:
-        struct = service.net.internal
-        isps = sorted((p for p in struct.places if p.kind is PlaceKind.ISP),
-                      key=lambda p: natural_key(p.id))
-        if not isps:
-            break
+    while isps:
         rounds += 1
         if rounds > depth_limit:
             raise DepthLimitExceeded(
                 f"ISP inlining did not terminate within {depth_limit} rounds")
-        attrs = service.net.gsp.attributes
-        groups = []
-        inits = {}  # ISP place id -> init place of its spliced subnet
-        for isp in isps:
-            counter += 1
-            rn = apart(f"i{counter}")
-            sub, entry, exits, attrs = _invoked_subnet(
-                reg.lookup(isp.invoked_gnet), isp.using_method, rn, attrs)
-            inits[isp.id] = entry
-            groups.append(({isp.id}, sub, (entry,), exits))
+        spliced = []  # the ISPs of this round's copies, under their new ids
+        for pid, isp in sorted(isps, key=lambda i: natural_key(i[0])):
+            suffix = f"i{len(groups) + 1}"
+            rn = apart(suffix)
+            svc = reg.lookup(isp.invoked_gnet)
+            method, sub = restrict_to_method(svc, isp.using_method)
+            if svc.net.gsp.attributes:
+                # avoid attribute-name capture between host and subnet
+                names = {a.name for a in attrs}
+                var_map = {a.name: rn(a.name) for a in svc.net.gsp.attributes
+                           if a.name in names}
+                new_attrs = [replace(a, name=var_map.get(a.name, a.name))
+                             for a in svc.net.gsp.attributes]
+                attrs += [a for a in new_attrs if a.name not in names]
+                sub = _rename_variables(sub, var_map)
+            goals = frozenset(map(rn, method.goal_places))
+            inits[pid] = rn(method.init_place)
+            groups.append(((pid,), sub, (inits[pid],),
+                           sorted(goals, key=natural_key), suffix, goals))
+            spliced += [(rn(p.id), p) for p in sub.places
+                        if p.kind is PlaceKind.ISP]
+        isps = spliced
+    if not groups:
+        return InlineResult(ws, {})
 
-            spliced = {p.id for p in sub.places}
-            for members in regions.values():
-                if isp.id in members:
-                    members.discard(isp.id)
-                    members.update(spliced)
-            regions[isp.id] = set(spliced)
-
-        methods = tuple(replace(m, init_place=inits.get(m.init_place,
-                                                        m.init_place))
-                        for m in service.net.gsp.methods)
-        gsp = replace(service.net.gsp, methods=methods, attributes=attrs)
-        service = replace(service,
-                          net=GNetModel(gsp, struct.substituted(groups)))
-    return InlineResult(service,
-                        {k: frozenset(v) for k, v in regions.items()})
+    # an ISP's region: its copy's places, each ISP among them by its region
+    regions = dict.fromkeys(removed for (removed,), *_ in groups)
+    for (pid,), sub, _, _, suffix, _ in reversed(groups):
+        members = set()
+        for q in map(apart(suffix), (p.id for p in sub.places)):
+            members.update(regions[q] if q in regions else (q,))
+        regions[pid] = frozenset(members)
+    for pid in reversed(inits):  # an init may be a later copy's ISP
+        inits[pid] = inits.get(inits[pid], inits[pid])
+    gsp = replace(ws.net.gsp, attributes=tuple(attrs), methods=tuple(
+        replace(m, init_place=inits.get(m.init_place, m.init_place))
+        for m in ws.net.gsp.methods))
+    return InlineResult(
+        replace(ws, net=GNetModel(gsp, ws.net.internal.substituted(groups))),
+        regions)
 
 
 # --- Flattening ------------------------------------------------------------

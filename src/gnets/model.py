@@ -9,7 +9,6 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cache, cached_property
-from itertools import chain
 from typing import Optional
 
 from . import guards
@@ -193,49 +192,62 @@ class InternalStructure:
         )
 
     def substituted(self, groups):
-        """The structure with places replaced by nets.  Each group is
-        (removed place ids, sub, entries, exits): an arc into a removed place
-        is redirected to every entry, an arc out of one leaves from every
-        exit, and a redirected arc keeps the old arc's inscription unless one
-        is already set.  Kept arcs come first, then redirected arcs in the
-        original arc order, then the subs' arcs; the subs' inscriptions are
-        added last."""
-        ends = {pid: (entries, exits)
-                for removed, _, entries, exits in groups for pid in removed}
-        subs = [sub for _, sub, _, _ in groups]
-        ins_map = self.inscription_map
-        arcs = [(a, b) for a, b in self.arcs
-                if a not in ends and b not in ends]
-        inscriptions = {arc: ins_map[arc] for arc in arcs if arc in ins_map}
-        for a, b in self.arcs:
-            if b in ends:
-                redirected = [(a, entry) for entry in ends[b][0]]
-            elif a in ends:
-                redirected = [(ex, b) for ex in ends[a][1]]
-            else:
-                continue
-            arcs += redirected
-            if (a, b) in ins_map:
-                for arc in redirected:
-                    inscriptions.setdefault(arc, ins_map[(a, b)])
-        for sub in subs:
-            arcs += sub.arcs
-            inscriptions.update(sub.inscription_map)
+        """The structure with places replaced by nets, built in one copy.
+        A group is (removed place ids, sub, entries, exits[, suffix[,
+        demote]]): the sub is copied with its ids renamed by `apart(suffix)`
+        and its `demote` places (new ids) made NORMAL and labeled TAU, its
+        labels then sorted by id.  An arc into a removed place is redirected
+        to every entry, one out of it leaves from every exit, and so again
+        while the new end is removed (in a later group's sub); it keeps the
+        old arc's inscription unless one is set.  Per structure, host first,
+        then the subs: kept arcs, then arcs redirected once, twice, ..."""
+        groups = [(*g, "", frozenset())[:6] for g in groups]
+        ends = {pid: g[2:4] for g in groups for pid in g[0]}
+        places, transitions, conditions, actions, labels = [], [], [], [], []
+        arcs, inscriptions = [], {}
+        for _, s, _, _, suffix, demote in [((), self, (), (), "", ()),
+                                           *groups]:
+            tag = RENAME_SEP + suffix if suffix else ""  # as apart(suffix)
+            for p in s.places:
+                pid = p.id + tag
+                if pid in ends:
+                    continue
+                if tag or pid in demote:
+                    p = Place(pid, PlaceKind.NORMAL if pid in demote
+                              else p.kind, p.invoked_gnet, p.using_method)
+                places.append(p)
+            transitions += [t + tag for t in s.transitions]
+            conditions += [(t + tag, c) for t, c in s.conditions]
+            actions += [(t + tag, a) for t, a in s.actions]
+            labs = [(p + tag, lab) for p, lab in s.labels
+                    if p + tag not in ends]
+            labels += sorted({**dict(labs), **dict.fromkeys(demote, TAU)
+                              }.items()) if demote else labs
+            level, own = [(a + tag, b + tag) for a, b in s.arcs], True
+            carried = {(a + tag, b + tag): ins
+                       for (a, b), ins in s.inscriptions}
+            while level:  # the arcs redirected 0, 1, 2, ... times
+                redirected, ins_map, carried = [], carried, {}
+                for arc in level:
+                    a, b = arc
+                    new = ([(a, e) for e in ends[b][0]] if b in ends else
+                           [(x, b) for x in ends[a][1]] if a in ends else None)
+                    ins = ins_map.get(arc)
+                    if new is not None:
+                        redirected += new
+                        for r in new if ins is not None else ():
+                            carried.setdefault(r, ins)
+                        continue
+                    arcs.append(arc)
+                    if ins is not None and (own or arc not in inscriptions):
+                        inscriptions[arc] = ins
+                level, own = redirected, False
         return InternalStructure(
-            places=tuple(chain((p for p in self.places if p.id not in ends),
-                               *(sub.places for sub in subs))),
-            transitions=tuple(chain(self.transitions,
-                                    *(sub.transitions for sub in subs))),
+            places=tuple(places), transitions=tuple(transitions),
             arcs=tuple(dict.fromkeys(arcs)),
             inscriptions=tuple(sorted(inscriptions.items())),
-            conditions=tuple(chain(self.conditions,
-                                   *(sub.conditions for sub in subs))),
-            actions=tuple(chain(self.actions,
-                                *(sub.actions for sub in subs))),
-            labels=tuple(chain(((p, lab) for p, lab in self.labels
-                                if p not in ends),
-                               *(sub.labels for sub in subs))),
-        )
+            conditions=tuple(conditions), actions=tuple(actions),
+            labels=tuple(labels))
 
 
 def _sorted_neighbours(pairs):

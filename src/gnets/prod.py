@@ -67,13 +67,23 @@ def _transition_order(flat: FlatNet):
     return order
 
 
+def _marking_text(value, pname):
+    """`value` as a marking writes it; ValueError for a string the reader
+    cannot get back: with a quote, a line break or a + read as a separator."""
+    if type(value) is str and re.search(
+            r'"|\+[^<>"]*<\.|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]', value):
+        raise ValueError(f"place {pname}: the PROD dialect cannot carry the "
+                         f"string {value!r}")
+    return guards.lit_text(value)
+
+
 def export_prod(flat: FlatNet) -> str:
     lines = []
     for pname in sorted(flat.places, key=natural_key):
         tokens = flat.initial.get(pname, [])
         if tokens:
-            marks = "+".join(_tuple_text([guards.lit_text(v) for v in tok])
-                             for tok in tokens)
+            marks = "+".join(_tuple_text([_marking_text(v, pname)
+                                          for v in tok]) for tok in tokens)
             lines.append(f"#place {pname} mk({marks})")
         else:
             lines.append(f"#place {pname}")

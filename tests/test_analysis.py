@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import gc
 import random
+import weakref
 from collections import deque
 from itertools import product
 
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import inline_oracle
 import reach_oracle
 import test_acceptance
 from fixtures import (book_order_service, branching_bool_service,
@@ -126,6 +129,71 @@ class TestInlining:
             result = analysis.inline_isps(dsl.eval_expr(term, reg), reg)
             assert all(p.kind is not PlaceKind.ISP
                        for p in result.service.net.internal.places)
+
+
+class TestInlineOracle:
+    def test_sweep_terms_inline_as_the_oracle_does(self):
+        """The first 300 sweep terms inline to the round-by-round oracle's
+        service, field for field (arcs as a set), with the same regions."""
+        rng = random.Random(20240817)
+        reg = test_acceptance.make_registry()
+        for _ in range(300):
+            ws = dsl.eval_expr(test_acceptance.random_term(rng, 5), reg)
+            result = analysis.inline_isps(ws, reg)
+            service, regions = inline_oracle.inline(ws, reg)
+            got, want = result.service.net.internal, service.net.internal
+            assert set(got.arcs) == set(want.arcs)
+            assert len(set(got.arcs)) == len(got.arcs)
+            assert result.service.net.gsp == service.net.gsp
+            assert dataclasses.replace(result.service, net=None) \
+                == dataclasses.replace(service, net=None)
+            assert dataclasses.replace(got, arcs=()) \
+                == dataclasses.replace(want, arcs=())
+            assert result.regions == regions
+
+
+class TestRestrictedView:
+    def test_restricted_once_per_structure_and_method(self, monkeypatch):
+        searches = []
+        closure = analysis.closure
+
+        def counted(*args):
+            searches.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(analysis, "closure", counted)
+        leaf = algebra.with_request_method(algebra.atomic("a", "op-a"))
+        for _ in range(3):
+            _, sub = analysis.restrict_to_method(leaf, "Atomic")
+        assert len(searches) == 2  # one forward, one backward
+        assert [p.id for p in sub.places] == ["p1", "p2"]
+        analysis.restrict_to_method(leaf, "req")
+        analysis.restrict_to_method(leaf, "req")
+        assert len(searches) == 4
+
+    def test_method_over_the_whole_net_is_the_structure(self):
+        reg = make_registry()
+        ws = compose("seq(a, b)", reg)
+        assert analysis.restrict_to_method(ws, "Seq")[1] is ws.net.internal
+
+    def test_cache_holds_no_reference_to_its_structure(self):
+        """Without the collector, a structure whose views are cached dies
+        with its last reference: the cache makes no cycle through it."""
+        gc.disable()
+        try:  # composed without the dsl, whose evaluator makes a cycle
+            reg = make_registry()
+            inner = algebra.alternative(reg.lookup("b"), reg.lookup("c"))
+            reg.insert(inner)
+            ws = algebra.sequence(reg.lookup("a"), inner)
+            analysis.inline_isps(ws, reg)
+            for service in (ws, reg.lookup("a")):
+                analysis.restrict_to_method(service, None)
+            refs = [weakref.ref(ws.net.internal),
+                    weakref.ref(reg.lookup("a").net.internal)]
+            del ws, reg, inner, service
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestFlatten:

@@ -18,7 +18,8 @@ from fixtures import (book_order_service, gated_false_service,
                       stuck_service, treat_command_block)
 from gnets import algebra, dsl, io
 from gnets.cli import main
-from gnets.model import IspRef, Place, PlaceKind, validate
+from gnets.model import (AttributeSpec, IspRef, Place, PlaceKind,
+                         validate)
 
 
 @pytest.fixture
@@ -483,6 +484,19 @@ class TestExport:
             main(["export", str(book_order_path), "--format", "pdf"])
         assert exc.value.code == 2
 
+    def test_string_prod_cannot_carry_exit_2(self, tmp_path, capsys):
+        """A valid model whose initial marking holds the string x"y, which
+        the PROD reader would cut short at its quote."""
+        ws = algebra.atomic("a", "op-a")
+        ws = dataclasses.replace(ws, net=dataclasses.replace(
+            ws.net, gsp=dataclasses.replace(ws.net.gsp, attributes=(
+                AttributeSpec("s", "string", initial='x"y'),))))
+        assert validate(ws).ok
+        path = tmp_path / "quoted.json"
+        io.save_service(ws, path)
+        assert main(["export", str(path), "--format", "prod"]) == 2
+        assert "place p1f" in capsys.readouterr().err
+
 
 class TestEmptyService:
     @pytest.mark.parametrize("command, expected", [
@@ -497,6 +511,32 @@ class TestEmptyService:
         capsys.readouterr()
         assert main([command[0], str(out), *command[1:]]) == 0
         assert expected in capsys.readouterr().out
+
+
+class TestSweepSimulate:
+    def test_sweep_terms_simulate_with_a_documented_code(self, tmp_path):
+        """`gnets simulate` under det on the first 40 sweep terms: every
+        run exits 0 (Goal), 1 (Deadlock or a semantic error) or 3 (step
+        limit), and none raises."""
+        rng = random.Random(20240817)
+        reg = test_acceptance.make_registry()
+        models = []
+        for i in range(40):
+            ws = dsl.eval_expr(test_acceptance.random_term(rng, 5), reg)
+            models.append((tmp_path / f"term{i}.json",
+                           len(algebra.main_method(ws).params)))
+            io.save_service(ws, models[-1][0])
+        (tmp_path / "reg").mkdir()
+        for name, service in reg.services.items():
+            io.save_service(service, tmp_path / "reg" / f"{name}.json")
+        codes = []
+        for path, params in models:
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                codes.append(main([
+                    "simulate", str(path), "--registry", str(tmp_path / "reg"),
+                    "--policy", "det", "--max-steps", "300",
+                    "--args", *["req"] * params]))
+        assert set(codes) <= {0, 1, 3}, codes
 
 
 class TestGeneratedModels:

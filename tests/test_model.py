@@ -230,6 +230,32 @@ class TestSubstituted:
         assert len(set(at_once.arcs)) == len(at_once.arcs)
         assert replace(at_once, arcs=()) == replace(one_by_one, arcs=())
 
+    @given(terms(), terms(), terms(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_nested_groups_at_once_equal_one_level_at_a_time(
+            self, host_term, term1, term2, data):
+        """Group 2 removes places of group 1's sub, an entry of group 1
+        among them, so arcs are redirected through a chain."""
+        reg = make_registry()
+        host, sub1, sub2 = (dsl.eval_expr(t, reg).net.internal
+                            for t in (host_term, term1, term2))
+        sub1, sub2 = sub1.renamed(apart("g1")), sub2.renamed(apart("g2"))
+
+        def some_places(struct):
+            return set(data.draw(st.lists(st.sampled_from(
+                [p.id for p in struct.places]), unique=True)))
+
+        group1 = substitution_group(
+            data, some_places(host) | {host.places[0].id}, sub1)
+        group2 = substitution_group(
+            data, some_places(sub1) | {group1[2][0]}, sub2)
+
+        at_once = host.substituted([group1, group2])
+        one_by_one = host.substituted([group1]).substituted([group2])
+        assert set(at_once.arcs) == set(one_by_one.arcs)
+        assert len(set(at_once.arcs)) == len(at_once.arcs)
+        assert replace(at_once, arcs=()) == replace(one_by_one, arcs=())
+
     def test_redirected_arc_keeps_inscription(self):
         host = InternalStructure(
             places=(Place("a"), Place("x"), Place("b")),
@@ -249,6 +275,25 @@ class TestSubstituted:
                                        ("f", "u"): (Var("w"),)}
         assert [p.id for p in out.places] == ["a", "b", "e", "f"]
         assert out.transitions == ("t", "u", "s")
+
+    def test_first_inscription_set_wins(self):
+        """Of two arcs redirected to one, the first in arc order gives its
+        inscription, and a kept arc keeps its own."""
+        v, w = (Var("v"),), (Var("w"),)
+        host = InternalStructure(
+            places=(Place("p"), Place("x"), Place("y")), transitions=("t",),
+            arcs=(("p", "t"), ("t", "x"), ("t", "y")),
+            inscriptions=((("t", "x"), v), (("t", "y"), w)))
+        sub = InternalStructure(places=(Place("e"),))
+        out = host.substituted([({"x", "y"}, sub, ("e",), ())])
+        assert out.inscription_map == {("t", "e"): v}
+        kept = InternalStructure(
+            places=(Place("p"), Place("x"), Place("e")), transitions=("t",),
+            arcs=(("p", "t"), ("t", "x"), ("t", "e")),
+            inscriptions=((("t", "x"), v), (("t", "e"), w)))
+        out = kept.substituted([({"x"}, InternalStructure(), ("e",), ())])
+        assert out.arcs == (("p", "t"), ("t", "e"))
+        assert out.inscription_map == {("t", "e"): w}
 
 
 class TestBlockFragment:
