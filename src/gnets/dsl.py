@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 from . import algebra
 from .errors import ParseError
-from .guards import TokenCursor
+from .guards import TokenCursor, read_string, string_text
 from .model import Registry, WebService
 
 # --- AST -------------------------------------------------------------------
@@ -126,13 +126,9 @@ def _tokenize(text):
             i += 1
             continue
         if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseError(i, "unterminated string literal")
-            tokens.append((("STR", text[i + 1:j]), i))
-            i = j + 1
+            value, j = read_string(text, i)
+            tokens.append((("STR", value), i))
+            i = j
             continue
         if c.isalpha() or c == "_":
             j = i
@@ -243,34 +239,30 @@ def print_expr(e) -> str:
     if isinstance(e, Select):
         return "select(%s)" % ", ".join(print_expr(c) for c in e.candidates)
     if isinstance(e, Refine):
-        return f'refine({print_expr(e.base)}, "{e.op_name}", {e.block})'
+        return f"refine({print_expr(e.base)}, {string_text(e.op_name)}, {e.block})"
     raise TypeError(f"not a composition term: {e!r}")
 
 
 def eval_expr(e, reg: Registry) -> WebService:
     """Evaluate a composition term against a registry.  Intermediate
     composite services are inserted so ISP references resolve by name."""
-
-    def ev(node):
-        op = _BY_NODE.get(type(node))
-        if op is not None:
-            _, build, names = op
-            ws = build(*(ev(getattr(node, n)) for n in names))
-        elif isinstance(node, Ref):
-            return reg.lookup(node.name)
-        elif isinstance(node, Empty):
-            ws = algebra.empty_service()
-        elif isinstance(node, Disc):
-            ws = algebra.discriminator([ev(r) for r in node.racers],
-                                       ev(node.continuation))
-        elif isinstance(node, Select):
-            ws = algebra.selection([ev(c) for c in node.candidates])
-        elif isinstance(node, Refine):
-            block = reg.lookup_block(node.block)
-            ws = algebra.refine(ev(node.base), node.op_name, block)
-        else:
-            raise TypeError(f"not a composition term: {node!r}")
-        reg.insert(ws)
-        return ws
-
-    return ev(e)
+    op = _BY_NODE.get(type(e))
+    if op is not None:
+        _, build, names = op
+        ws = build(*(eval_expr(getattr(e, n), reg) for n in names))
+    elif isinstance(e, Ref):
+        return reg.lookup(e.name)
+    elif isinstance(e, Empty):
+        ws = algebra.empty_service()
+    elif isinstance(e, Disc):
+        ws = algebra.discriminator([eval_expr(r, reg) for r in e.racers],
+                                   eval_expr(e.continuation, reg))
+    elif isinstance(e, Select):
+        ws = algebra.selection([eval_expr(c, reg) for c in e.candidates])
+    elif isinstance(e, Refine):
+        block = reg.lookup_block(e.block)
+        ws = algebra.refine(eval_expr(e.base, reg), e.op_name, block)
+    else:
+        raise TypeError(f"not a composition term: {e!r}")
+    reg.insert(ws)
+    return ws

@@ -8,6 +8,8 @@ inscriptions are comma-separated expression tuples.
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -87,6 +89,28 @@ Inscription = tuple  # tuple[Expr, ...]
 
 _TWO_CHAR = ("==", "!=", "<=", ">=", ":=", "&&", "||")
 _ONE_CHAR = "<>+-*!();,"
+# `model.apart` appends RENAME_SEP to renamed ids: identifiers hold it.
+RENAME_SEP = "§"
+# A string literal is a JSON string: `string_text` writes it, `read_string`
+# reads it (a raw line break inside as itself).  STRING matches one literal.
+STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.DOTALL)
+_JSON = json.JSONDecoder(strict=False)
+
+
+def read_string(text, i):
+    """The value of the string literal at the quote text[i], and its end."""
+    m = STRING.match(text, i)
+    if m is None:
+        raise ParseError(i, "unterminated string literal")
+    try:
+        return _JSON.decode(m[0]), m.end()
+    except ValueError as exc:
+        raise ParseError(i + exc.pos, f"bad string: {exc.msg}") from None
+
+
+def string_text(value):
+    """`value` as a string literal: quotes, \\ and line breaks escaped."""
+    return json.dumps(value, ensure_ascii=False)
 
 
 def _tokenize(text):
@@ -105,25 +129,22 @@ def _tokenize(text):
             tokens.append((c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append((("INT", int(text[i:j])), i))
             i = j
             continue
         if c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ParseError(i, "unterminated string literal")
-            tokens.append((("STR", text[i + 1:j]), i))
-            i = j + 1
+            value, j = read_string(text, i)
+            tokens.append((("STR", value), i))
+            i = j
             continue
         if c.isalpha() or c == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and (text[j].isalnum() or text[j] == "_"
+                             or text[j] == RENAME_SEP):
                 j += 1
             tokens.append((("IDENT", text[i:j]), i))
             i = j
@@ -316,7 +337,7 @@ def lit_text(value):
     if value is False:
         return "false"
     if isinstance(value, str):
-        return '"%s"' % value
+        return string_text(value)
     return str(value)
 
 

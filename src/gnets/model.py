@@ -14,8 +14,7 @@ from typing import Optional
 from . import guards
 from .errors import DuplicateService, UnknownBlock, UnknownService
 
-# Separator reserved for freshness-preserving renames; forbidden in user ids.
-RENAME_SEP = "§"  # §
+RENAME_SEP = guards.RENAME_SEP  # reserved for renames; not in user ids
 
 
 @cache

@@ -19,6 +19,7 @@ consumed.
 from __future__ import annotations
 
 import re
+from functools import cache
 
 from . import guards
 from .analysis import FlatNet, FlatPlace, FlatTransition
@@ -67,23 +68,13 @@ def _transition_order(flat: FlatNet):
     return order
 
 
-def _marking_text(value, pname):
-    """`value` as a marking writes it; ValueError for a string the reader
-    cannot get back: with a quote, a line break or a + read as a separator."""
-    if type(value) is str and re.search(
-            r'"|\+[^<>"]*<\.|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]', value):
-        raise ValueError(f"place {pname}: the PROD dialect cannot carry the "
-                         f"string {value!r}")
-    return guards.lit_text(value)
-
-
 def export_prod(flat: FlatNet) -> str:
     lines = []
     for pname in sorted(flat.places, key=natural_key):
         tokens = flat.initial.get(pname, [])
         if tokens:
-            marks = "+".join(_tuple_text([_marking_text(v, pname)
-                                          for v in tok]) for tok in tokens)
+            marks = "+".join(_tuple_text([guards.lit_text(v) for v in tok])
+                             for tok in tokens)
             lines.append(f"#place {pname} mk({marks})")
         else:
             lines.append(f"#place {pname}")
@@ -104,34 +95,35 @@ def export_prod(flat: FlatNet) -> str:
 
 # --- Minimal reader (round-trip testing only) ------------------------------
 
-# per separator, its match that the next item's head and `<.` follow
-_SEPARATOR = {s: re.compile(rf'\{s}(?=[^<>"]*<\.)') for s in "+;"}
+_TUPLE = r'<\.([^".]*(?:%s[^".]*)*)\.>' % guards.STRING.pattern
+# per separator, one item and the separator or end after it: a marking's
+# tuple (with no place) or an arc's `place: tuple`, whose `.`s are in strings
+_ITEM = {"+": re.compile(r"\s*()%s\s*(\+|\Z)" % _TUPLE, re.DOTALL),
+         ";": re.compile(r"\s*([^<\s]+):\s*%s\s*(;|\Z)" % _TUPLE, re.DOTALL)}
 
 
-def _tuples(text, sep, line):
-    """The (head, inscription) pair of each `head<.e1, ..., en.>` in `text`."""
-    pairs = []
-    for item in _SEPARATOR[sep].split(text) if text.strip() else ():
-        head, mark, rest = item.strip().partition("<.")
-        if not (mark and rest.endswith(".>")):
-            raise ParseError(0, f"malformed tuple {item!r} in {line!r}")
-        pairs.append((head.strip(), guards.parse_inscription(rest[:-2])))
+def _tuples(text, sep, line, parse):
+    """The (place, inscription) pair of each item of the clause `text`."""
+    pairs, pos, more = [], 0, bool(text.strip())
+    while more:
+        m = _ITEM[sep].match(text, pos)
+        if m is None:
+            raise ParseError(pos, f"malformed tuple in {line!r}")
+        pairs.append((m[1], parse(m[2])))
+        pos, more = m.end(), bool(m[3])
     return pairs
 
 
-def _flow(line, keyword):
+def _flow(line, keyword, parse):
     """The (place, inscription, names of its variables) of each arc of the
     flow clause `line`."""
     word, _, body = line.partition("{")
     if word.strip() != keyword or not body.endswith("}"):
         raise ParseError(0, f"expected {keyword!r} {{...}}: {line!r}")
-    arcs = []
-    for head, exprs in _tuples(body[:-1].strip().removesuffix(";"), ";", line):
-        if not head.endswith(":"):
-            raise ParseError(0, f"expected place: <...> in {line!r}")
-        arcs.append((head[:-1].strip(), exprs, tuple(
-            [e.name for e in exprs if isinstance(e, guards.Var)])))
-    return arcs
+    clause = body[:-1].strip().removesuffix(";")
+    return [(place, exprs, tuple([e.name for e in exprs
+                                  if isinstance(e, guards.Var)]))
+            for place, exprs in _tuples(clause, ";", line, parse)]
 
 
 def reparse_prod(text: str) -> FlatNet:
@@ -142,23 +134,23 @@ def reparse_prod(text: str) -> FlatNet:
     signatures = {}
     initial = {}
     transitions = []
-    lines = filter(None, map(str.strip, text.splitlines()))
+    parse = cache(guards.parse_inscription)  # each distinct text once
+    lines = filter(None, map(str.strip, text.split("\n")))
     for line in lines:
         if line.startswith("#place"):
             name, _, mk = line[len("#place"):].strip().partition(" ")
             places[name] = None
             mk = mk.strip()
             if mk:
-                pairs = _tuples(mk[3:-1], "+", line)
-                if not (mk.startswith("mk(") and mk.endswith(")")) or any(
-                        head for head, _ in pairs):
+                if not (mk.startswith("mk(") and mk.endswith(")")):
                     raise ParseError(0, f"malformed marking: {line!r}")
+                pairs = _tuples(mk[3:-1], "+", line, parse)
                 initial[name] = [tuple(guards.eval_expr(e, {}) for e in exprs)
                                  for _, exprs in pairs]
         elif line.startswith("#trans"):
             name = line[len("#trans"):].strip()
-            ins = _flow(next(lines, ""), "in")
-            outs = _flow(next(lines, ""), "out")
+            ins = _flow(next(lines, ""), "in", parse)
+            outs = _flow(next(lines, ""), "out", parse)
             gate_line = next(lines, "")
             if not gate_line.startswith("gate"):
                 raise ParseError(0, f"expected a gate line: {gate_line!r}")
@@ -191,28 +183,23 @@ _SHAPES = {
 }
 
 
-def _dot_escape(text):
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def export_dot(ws: WebService) -> str:
     struct = ws.net.internal
     labels = struct.label_map
-    lines = [f'digraph "{_dot_escape(ws.name)}" {{', "  rankdir=LR;"]
+    q = guards.string_text
+    lines = [f"digraph {q(ws.name)} {{", "  rankdir=LR;"]
     for p in struct.places:
         lab = labels.get(p.id)
         if isinstance(lab, OpLabel):
-            text = f"{p.id}\\n{lab.name}"
+            text = f"{p.id}\n{lab.name}"
         elif isinstance(lab, IspRef):
-            text = f"{p.id}\\nISP({lab.service}.{lab.method})"
+            text = f"{p.id}\nISP({lab.service}.{lab.method})"
         else:
             text = p.id
-        lines.append(f'  "{_dot_escape(p.id)}" '
-                     f'[shape={_SHAPES[p.kind]}, label="{_dot_escape(text)}"];')
+        lines.append(f"  {q(p.id)} [shape={_SHAPES[p.kind]}, label={q(text)}];")
     for t in struct.transitions:
-        lines.append(f'  "{_dot_escape(t)}" '
-                     f'[shape=box, label="{_dot_escape(t)}"];')
+        lines.append(f"  {q(t)} [shape=box, label={q(t)}];")
     for a, b in struct.arcs:
-        lines.append(f'  "{_dot_escape(a)}" -> "{_dot_escape(b)}";')
+        lines.append(f"  {q(a)} -> {q(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

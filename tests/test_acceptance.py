@@ -296,7 +296,8 @@ def random_expr(rng, depth):
         if pick < 0.6:
             return guards.Lit(rng.random() < 0.5)
         if pick < 0.7:
-            return guards.Lit(rng.choice(["", "go", "a b"]))
+            return guards.Lit(rng.choice(["", "go", "a b", 'say "hi"',
+                                          "a\\b", "l1\nl2", "x;<.y"]))
         return guards.Var(rng.choice(["x", "y", "B", "Available", "seq"]))
     return guards.BinOp(rng.choice("+-*"), random_expr(rng, depth - 1),
                         random_expr(rng, depth - 1))

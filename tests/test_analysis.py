@@ -180,7 +180,7 @@ class TestRestrictedView:
         """Without the collector, a structure whose views are cached dies
         with its last reference: the cache makes no cycle through it."""
         gc.disable()
-        try:  # composed without the dsl, whose evaluator makes a cycle
+        try:
             reg = make_registry()
             inner = algebra.alternative(reg.lookup("b"), reg.lookup("c"))
             reg.insert(inner)

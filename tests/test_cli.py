@@ -16,7 +16,7 @@ import test_acceptance
 from fixtures import (book_order_service, gated_false_service,
                       missing_method_service, mixed_values_service,
                       stuck_service, treat_command_block)
-from gnets import algebra, dsl, io
+from gnets import algebra, dsl, io, prod
 from gnets.cli import main
 from gnets.model import (AttributeSpec, IspRef, Place, PlaceKind,
                          validate)
@@ -484,9 +484,9 @@ class TestExport:
             main(["export", str(book_order_path), "--format", "pdf"])
         assert exc.value.code == 2
 
-    def test_string_prod_cannot_carry_exit_2(self, tmp_path, capsys):
-        """A valid model whose initial marking holds the string x"y, which
-        the PROD reader would cut short at its quote."""
+    def test_quoted_string_prod_reads_back(self, tmp_path, capsys):
+        """A valid model whose initial marking holds the string x"y: the
+        quote is escaped, so export exits 0 and the text reads back."""
         ws = algebra.atomic("a", "op-a")
         ws = dataclasses.replace(ws, net=dataclasses.replace(
             ws.net, gsp=dataclasses.replace(ws.net.gsp, attributes=(
@@ -494,8 +494,22 @@ class TestExport:
         assert validate(ws).ok
         path = tmp_path / "quoted.json"
         io.save_service(ws, path)
-        assert main(["export", str(path), "--format", "prod"]) == 2
-        assert "place p1f" in capsys.readouterr().err
+        assert main(["export", str(path), "--format", "prod"]) == 0
+        back = prod.reparse_prod(capsys.readouterr().out)
+        assert back.initial["p1f"] == [('x"y',)]
+
+    def test_dot_labels_break_lines(self, book_order_path, tmp_path, capsys):
+        """An operation or ISP label goes on a second line: the label
+        holds dot's line break escape, a single backslash and n."""
+        assert main(["export", str(book_order_path), "--format", "dot"]) == 0
+        assert '  "P1" [shape=circle, label="P1\\nReceive-command"];' \
+            in capsys.readouterr().out.splitlines()
+        ws = algebra.sequence(algebra.atomic("a", "op-a"),
+                              algebra.atomic("b", "op-b"))
+        path = tmp_path / "seq.json"
+        io.save_service(ws, path)
+        assert main(["export", str(path), "--format", "dot"]) == 0
+        assert 'label="p1\\nISP(a.Atomic)"' in capsys.readouterr().out
 
 
 class TestEmptyService:

@@ -1,3 +1,7 @@
+import gc
+import string
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,11 +93,32 @@ class TestParsing:
     def test_round_trip(self, term):
         assert dsl.parse_expr(dsl.print_expr(term)) == term
 
+    @given(st.text(string.printable) | st.text())
+    def test_refine_operation_name_round_trip(self, name):
+        """The operation name is a string literal of the guard language:
+        any text prints escaped and reads back, a `#` or `)` included."""
+        term = dsl.Refine(dsl.Ref("a"), name, "B")
+        assert dsl.parse_expr(dsl.print_expr(term)) == term
+
 
 class TestEvaluation:
     def test_lookup(self):
         reg = make_registry()
         assert dsl.eval_expr(dsl.parse_expr("a"), reg).name == "a"
+
+    def test_registry_dies_with_its_last_reference(self):
+        """Without the collector, a registry copy that a term was composed
+        into dies with its last reference: the evaluator makes no cycle."""
+        gc.disable()
+        try:
+            reg = make_registry().copy()
+            dsl.eval_expr(dsl.parse_expr(
+                'seq(a, disc(b, c; refine(select(a, b), "op-a", B)))'), reg)
+            ref = weakref.ref(reg)
+            del reg
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_unknown_service(self):
         with pytest.raises(UnknownService):

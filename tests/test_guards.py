@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,6 +108,39 @@ class TestParsing:
     def test_action_requires_target(self):
         with pytest.raises(ParseError):
             parse_action("1 := 2")
+
+    def test_only_decimal_digits_make_a_number(self):
+        """A superscript two is a digit to `str.isdigit` but not to
+        `int()`: the lexer rejects it instead of raising ValueError."""
+        with pytest.raises(ParseError):
+            parse_condition("x == \u00b2")
+
+    def test_renamed_identifier(self):
+        name = f"x{guards.RENAME_SEP}i2"
+        assert parse_expr(f"{name} + 1") == BinOp("+", Var(name), Lit(1))
+
+
+class TestStringLiteral:
+    """A string literal is a JSON string."""
+
+    @given(st.text(string.printable) | st.text())
+    def test_any_text_reads_back(self, value):
+        assert parse_expr(guards.lit_text(value)) == Lit(value)
+
+    def test_plain_text_prints_between_quotes(self):
+        assert guards.lit_text("a b-c") == '"a b-c"'
+
+    def test_quote_backslash_and_line_break_are_escaped(self):
+        assert guards.lit_text('say "hi"\\\n') == '"say \\"hi\\"\\\\\\n"'
+        assert parse_expr('"a\\\\b"') == Lit("a\\b")
+
+    def test_raw_line_break_reads_as_itself(self):
+        assert parse_expr('"a\nb"') == Lit("a\nb")
+
+    @pytest.mark.parametrize("bad", ['"a\\qb"', '"\\u12"', '"a\\'])
+    def test_malformed_literal_rejected(self, bad):
+        with pytest.raises(ParseError):
+            parse_expr(bad)
 
 
 class TestEvaluation:

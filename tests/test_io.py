@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import (book_order_service, branching_bool_service,
                       treat_command_block, treat_command_service)
-from gnets import algebra, io, sim
+from gnets import algebra, guards, io, sim
 from gnets.errors import ParseError
 from gnets.model import Registry
 
@@ -52,6 +56,21 @@ class TestServiceRoundTrip:
         conds = {c["transition"]: c["text"]
                  for c in d["net"]["is"]["conditions"]}
         assert conds["T1"] == "Available == true"
+
+    @given(st.text(string.printable) | st.text())
+    @settings(max_examples=100, deadline=None)
+    def test_guard_string_json_round_trip(self, value):
+        """A guard comparing with any string saves to JSON text and loads
+        back as the same service."""
+        ws = book_order_service()
+        struct = ws.net.internal
+        guard = guards.Compare(guards.Var("Available"), "!=",
+                               guards.Lit(value))
+        ws = dataclasses.replace(ws, net=dataclasses.replace(
+            ws.net, internal=dataclasses.replace(struct, conditions=(
+                ("T1", guard),) + struct.conditions[1:])))
+        text = json.dumps(io.service_to_dict(ws))
+        assert io.service_from_dict(json.loads(text)) == ws
 
     def test_missing_field_reported(self):
         with pytest.raises(ParseError):
