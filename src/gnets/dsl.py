@@ -11,11 +11,12 @@ Identifiers name registry entries and may contain hyphens.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from . import algebra
 from .errors import ParseError
-from .guards import TokenCursor, read_string, string_text
+from .guards import TokenCursor, scan, string_text
 from .model import Registry, WebService
 
 # --- AST -------------------------------------------------------------------
@@ -103,43 +104,11 @@ _BY_NODE = {node: (keyword, build, names)
             for keyword, (node, build, names) in _OPERATORS.items()}
 
 
-# --- Lexer -----------------------------------------------------------------
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isspace():
-            i += 1
-            continue
-        if text[i:i + 2] == ">>":
-            tokens.append((">>", i))
-            i += 2
-            continue
-        if c in "(),;":
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c == '"':
-            value, j = read_string(text, i)
-            tokens.append((("STR", value), i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            tokens.append((("IDENT", text[i:j]), i))
-            i = j
-            continue
-        raise ParseError(i, f"unexpected character {c!r}")
-    tokens.append(("EOF", n))
-    return tokens
+# The composition language's lexicon, as `guards.scan` reads it.
+LEXICON = re.compile(r"""(?P<skip>(?:\s|\#[^\n]*)+)
+    |(?:(?P<op>>>|[(),;])
+       |(?P<IDENT>[^\W\d][\w-]*))(?:\s|\#[^\n]*)*
+    |(?P<STR>")""", re.VERBOSE)
 
 
 class _Parser(TokenCursor):
@@ -216,7 +185,7 @@ class _Parser(TokenCursor):
 
 
 def parse_expr(text: str):
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(scan(text, LEXICON))
     try:
         return parser.parse()
     except RecursionError:

@@ -87,8 +87,6 @@ Inscription = tuple  # tuple[Expr, ...]
 
 # --- Lexer -----------------------------------------------------------------
 
-_TWO_CHAR = ("==", "!=", "<=", ">=", ":=", "&&", "||")
-_ONE_CHAR = "<>+-*!();,"
 # `model.apart` appends RENAME_SEP to renamed ids: identifiers hold it.
 RENAME_SEP = "§"
 # A string literal is a JSON string: `string_text` writes it, `read_string`
@@ -113,45 +111,44 @@ def string_text(value):
     return json.dumps(value, ensure_ascii=False)
 
 
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
+LEXICON = re.compile(rf"""(?P<skip>\s+)
+    |(?:(?P<op>==|!=|<=|>=|:=|&&|\|\||[<>+\-*!();,])
+       |(?P<INT>\d+)
+       |(?P<IDENT>[^\W\d][\w{RENAME_SEP}]*))\s*
+    |(?P<STR>")""", re.VERBOSE)
+
+
+def scan(text, lexicon):
+    """`text` as (token, offset) pairs ending in ("EOF", len(text)).  The
+    `lexicon` matches text to `skip`, or one token and the skip after it: an
+    `op` (its text) or an INT, IDENT or STR (a (group, value) pair; STR is a
+    `read_string` literal's opening quote).  An identifier starts only where
+    `str.isalpha` holds or at `_`, but `[^\\W\\d]` also admits `²`."""
+    tokens, i, n, match = [], 0, len(text), lexicon.match
     while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            tokens.append((text[i:i + 2], i))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append((c, i))
-            i += 1
-            continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append((("INT", int(text[i:j])), i))
-            i = j
-            continue
-        if c == '"':
-            value, j = read_string(text, i)
-            tokens.append((("STR", value), i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"
-                             or text[j] == RENAME_SEP):
-                j += 1
-            tokens.append((("IDENT", text[i:j]), i))
-            i = j
-            continue
-        raise ParseError(i, f"unexpected character {c!r}")
+        m = match(text, i)
+        kind = m and m.lastgroup
+        if not kind or kind == "IDENT" and not (text[i].isalpha()
+                                                or text[i] == "_"):
+            raise ParseError(i, f"unexpected character {text[i]!r}")
+        if kind == "STR":
+            value, end = read_string(text, i)
+        else:
+            value, end = m[kind], m.end()
+        if kind != "skip":
+            tokens.append((value if kind == "op" else
+                           (kind, int(value) if kind == "INT" else value), i))
+        i = end
     tokens.append(("EOF", n))
     return tokens
+
+
+def is_identifier(name):
+    """Whether `name` is one identifier of the guard language."""
+    try:
+        return scan(name, LEXICON)[0][0] == ("IDENT", name)
+    except ParseError:
+        return False
 
 
 class TokenCursor:
@@ -303,7 +300,7 @@ class _Parser(TokenCursor):
 
 def _parse(text: str, rule):
     """`rule` over all of `text`; a too deep nesting is a ParseError."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(scan(text, LEXICON))
     try:
         out = rule(p)
         p.expect("EOF")

@@ -217,30 +217,32 @@ def block_from_dict(d: dict) -> tuple:
 # --- Files -----------------------------------------------------------------
 
 
+def _write(doc: dict, path) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, ensure_ascii=False)
+                          + "\n")
+
+
+def _read(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.pos, str(exc)) from None
+
+
 def save_service(ws: WebService, path) -> None:
-    Path(path).write_text(json.dumps(service_to_dict(ws), indent=2,
-                                     ensure_ascii=False) + "\n")
+    _write(service_to_dict(ws), path)
 
 
 def load_service(path) -> WebService:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.pos, str(exc)) from None
-    return service_from_dict(data)
+    return service_from_dict(_read(path))
 
 
 def save_block(name: str, block: BlockFragment, path) -> None:
-    Path(path).write_text(json.dumps(block_to_dict(name, block), indent=2,
-                                     ensure_ascii=False) + "\n")
+    _write(block_to_dict(name, block), path)
 
 
 def load_block(path) -> tuple:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.pos, str(exc)) from None
-    return block_from_dict(data)
+    return block_from_dict(_read(path))
 
 
 def load_registry(directory) -> Registry:

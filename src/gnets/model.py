@@ -462,6 +462,16 @@ def validate(ws: WebService) -> ValidationReport:
                 report.add(a.name, "attr-domain-type",
                            f"domain member {v!r} is not of type {a.value_type}")
 
+    # PROD text and inscriptions carry these names as guard identifiers
+    for what, name in ([("place id", p) for p in place_map]
+                       + [("transition id", t) for t in struct.transitions]
+                       + [("parameter", n) for m in net.gsp.methods
+                          for n, _ in m.params]
+                       + [("attribute", a.name) for a in net.gsp.attributes]):
+        if not guards.is_identifier(name):
+            report.add(name, "bad-name",
+                       f"{what} {name!r} is not a guard identifier")
+
     for key, _ in struct.inscriptions:
         if key not in arc_set:
             report.add(f"arc {key[0]}->{key[1]}", "inscription-domain",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import treat_command_block
-from gnets import algebra, dsl
+from gnets import algebra, dsl, guards
 from gnets.errors import ParseError, UnknownBlock, UnknownService
 from gnets.model import Registry, validate
 
@@ -99,6 +99,44 @@ class TestParsing:
         any text prints escaped and reads back, a `#` or `)` included."""
         term = dsl.Refine(dsl.Ref("a"), name, "B")
         assert dsl.parse_expr(dsl.print_expr(term)) == term
+
+
+class TestScanner:
+    """The composition lexicon's tokens and errors, pinned to the values that
+    the per-character lexer this scanner replaced gave for the same texts."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("\u00b2x", "at 0: unexpected character '\u00b2'"),
+        ("x\u00b2", [(("IDENT", "x\u00b2"), 0), ("EOF", 2)]),
+        ("\u0663", "at 0: unexpected character '\u0663'"),
+        ("\u216b", "at 0: unexpected character '\u216b'"),
+        ("a\u00a7b", "at 1: unexpected character '\u00a7'"),
+        ("\u00a7a", "at 0: unexpected character '\u00a7'"),
+        ("a-b", [(("IDENT", "a-b"), 0), ("EOF", 3)]),
+        ("a -b", "at 2: unexpected character '-'"),
+        ("# c", [("EOF", 3)]),
+        ("a # c\nb", [(("IDENT", "a"), 0), (("IDENT", "b"), 6), ("EOF", 7)]),
+        (" a", [(("IDENT", "a"), 1), ("EOF", 2)]),
+        ("=", "at 0: unexpected character '='"),
+        ("&", "at 0: unexpected character '&'"),
+        ("|", "at 0: unexpected character '|'"),
+        (":", "at 0: unexpected character ':'"),
+        (".", "at 0: unexpected character '.'"),
+        ("<=>", "at 0: unexpected character '<'"),
+        (">>>", "at 2: unexpected character '>'"),
+        ('"\\q"', "at 1: bad string: Invalid \\escape"),
+        ('"a', "at 0: unterminated string literal"),
+        ("a >> b(c, d; e)", [
+            (("IDENT", "a"), 0), (">>", 2), (("IDENT", "b"), 5), ("(", 6),
+            (("IDENT", "c"), 7), (",", 8), (("IDENT", "d"), 10), (";", 11),
+            (("IDENT", "e"), 13), (")", 14), ("EOF", 15)]),
+    ])
+    def test_tokens_and_errors(self, text, expected):
+        try:
+            got = guards.scan(text, dsl.LEXICON)
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected
 
 
 class TestEvaluation:

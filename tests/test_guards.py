@@ -120,6 +120,53 @@ class TestParsing:
         assert parse_expr(f"{name} + 1") == BinOp("+", Var(name), Lit(1))
 
 
+class TestScanner:
+    """The guard lexicon's tokens and errors, pinned to the values that the
+    per-character lexer this scanner replaced gave for the same texts."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("\u00b2x", "at 0: unexpected character '\u00b2'"),
+        ("x\u00b2", [(("IDENT", "x\u00b2"), 0), ("EOF", 2)]),
+        ("\u0663", [(("INT", 3), 0), ("EOF", 1)]),
+        ("\u216b", "at 0: unexpected character '\u216b'"),
+        ("a\u00a7b", [(("IDENT", "a\u00a7b"), 0), ("EOF", 3)]),
+        ("\u00a7a", "at 0: unexpected character '\u00a7'"),
+        ("a-b", [(("IDENT", "a"), 0), ("-", 1), (("IDENT", "b"), 2),
+                 ("EOF", 3)]),
+        ("a -b", [(("IDENT", "a"), 0), ("-", 2), (("IDENT", "b"), 3),
+                  ("EOF", 4)]),
+        ("# c", "at 0: unexpected character '#'"),
+        ("a # c\nb", "at 2: unexpected character '#'"),
+        (" a", [(("IDENT", "a"), 1), ("EOF", 2)]),
+        ("=", "at 0: unexpected character '='"),
+        ("&", "at 0: unexpected character '&'"),
+        ("|", "at 0: unexpected character '|'"),
+        (":", "at 0: unexpected character ':'"),
+        (".", "at 0: unexpected character '.'"),
+        ("<=>", [("<=", 0), (">", 2), ("EOF", 3)]),
+        (">>>", [(">", 0), (">", 1), (">", 2), ("EOF", 3)]),
+        ('"\\q"', "at 1: bad string: Invalid \\escape"),
+        ('"a', "at 0: unterminated string literal"),
+        ('x := \u06632 + 10; y := "s\\n"', [
+            (("IDENT", "x"), 0), (":=", 2), (("INT", 32), 5), ("+", 8),
+            (("INT", 10), 10), (";", 12), (("IDENT", "y"), 14), (":=", 16),
+            (("STR", "s\n"), 19), ("EOF", 24)]),
+    ])
+    def test_tokens_and_errors(self, text, expected):
+        try:
+            got = guards.scan(text, guards.LEXICON)
+        except ParseError as exc:
+            got = str(exc)
+        assert got == expected
+
+    @pytest.mark.parametrize("name, ok", [
+        ("p1", True), ("b1\u00a7A", True), ("_x", True), ("p 1", False),
+        ("a-b", False), ("1p", False), ("\u00b2x", False), ("", False),
+        (" a", False), ("a ", False), ("true", True)])
+    def test_is_identifier(self, name, ok):
+        assert guards.is_identifier(name) is ok
+
+
 class TestStringLiteral:
     """A string literal is a JSON string."""
 

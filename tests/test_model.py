@@ -123,6 +123,38 @@ class TestValidate:
         report = validate(replace(ws, net=GNetModel(gsp, ws.net.internal)))
         assert [v.rule for v in report.violations] == ["empty-domain"]
 
+    @pytest.mark.parametrize("pid, violations", [
+        ("p 1", [("p 1", "bad-name")]),
+        ("p1-x", [("p1-x", "bad-name")]),
+        ("1p", [("1p", "bad-name")]),
+        (apart("A")("b1"), []),
+        ("x²", []),
+    ])
+    def test_place_id_must_be_a_guard_identifier(self, pid, violations):
+        """PROD text writes a place id into a place name, so `p 1`, which
+        it cannot carry, is a violation; a renamed id such as b1§A is not."""
+        ws = algebra.atomic("a", "op-a")
+        method = replace(ws.net.gsp.methods[0], init_place=pid)
+        struct = ws.net.internal.renamed(lambda i: pid if i == "p1" else i)
+        report = validate(replace(ws, net=GNetModel(GspSpec((method,)),
+                                                     struct)))
+        assert [(v.element, v.rule) for v in report.violations] == violations
+
+    def test_names_must_be_guard_identifiers(self):
+        """A transition id, a method parameter or an attribute name that is
+        not a guard identifier is a violation, each reported once."""
+        ws = algebra.atomic("a", "op-a")
+        method = replace(ws.net.gsp.methods[0], params=(("x y", ""),))
+        gsp = GspSpec((method,), (AttributeSpec("a-b", "int", 0),))
+        struct = ws.net.internal.renamed(lambda i: "t 1" if i == "t1" else i)
+        report = validate(replace(ws, net=GNetModel(gsp, struct)))
+        assert [(v.element, v.rule, v.message)
+                for v in report.violations] == [
+            ("t 1", "bad-name", "transition id 't 1' is not a guard "
+             "identifier"),
+            ("x y", "bad-name", "parameter 'x y' is not a guard identifier"),
+            ("a-b", "bad-name", "attribute 'a-b' is not a guard identifier")]
+
 
 class TestRenameApart:
     def test_basic(self):
