@@ -80,7 +80,7 @@ def _rename_variables(struct: InternalStructure, mapping: dict):
         inscriptions=tuple((key, tuple(guards.subst_expr(e, subst)
                                        for e in ins))
                            for key, ins in struct.inscriptions),
-        conditions=tuple((t, guards.subst_condition(c, subst))
+        conditions=tuple((t, guards.subst_expr(c, subst))
                          for t, c in struct.conditions),
         actions=tuple((t, tuple(guards.Assign(mapping.get(a.target, a.target),
                                               guards.subst_expr(a.expr, subst))
@@ -364,7 +364,7 @@ def _successor_plan(transitions) -> _SuccessorPlan:
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     fed, joint = {}, []
     for index, (t, key) in enumerate(zip(transitions, keys)):
-        needed = guards.condition_vars(t.gate)
+        needed = guards.expr_vars(t.gate)
         for _, exprs in t.outputs:
             for e in exprs:
                 needed |= guards.expr_vars(e)

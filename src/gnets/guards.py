@@ -1,9 +1,10 @@
 """The inscription mini-language: transition guards, action sequences and
 arc tuple inscriptions.
 
-Values are ints, bools and strings.  Guards are boolean formulas over
-comparisons; actions are ordered `var := expr` assignment lists; arc
-inscriptions are comma-separated expression tuples.
+Values are ints, bools and strings.  One expression tree serves all three:
+a guard is an expression whose value must be a bool; actions are ordered
+`var := expr` assignment lists; arc inscriptions are comma-separated
+expression tuples.
 """
 
 from __future__ import annotations
@@ -37,42 +38,36 @@ class BinOp:
     right: "Expr"
 
 
-Expr = Union[Lit, Var, BinOp]
-
-
-@dataclass(frozen=True)
-class Atom:
-    """A bare boolean-valued expression used as a condition."""
-    expr: Expr
-
-
 @dataclass(frozen=True)
 class Compare:
-    left: Expr
+    left: "Expr"
     op: str  # == != < <= > >=
-    right: Expr
+    right: "Expr"
 
 
 @dataclass(frozen=True)
 class Not:
-    operand: "Condition"
+    operand: "Expr"
 
 
 @dataclass(frozen=True)
 class And:
-    left: "Condition"
-    right: "Condition"
+    left: "Expr"
+    right: "Expr"
+    op = "&&"  # not a field
 
 
 @dataclass(frozen=True)
 class Or:
-    left: "Condition"
-    right: "Condition"
+    left: "Expr"
+    right: "Expr"
+    op = "||"  # not a field
 
 
-Condition = Union[Atom, Compare, Not, And, Or]
+Expr = Union[Lit, Var, BinOp, Compare, Not, And, Or]
+Condition = Expr  # an expression whose value must be a bool
 
-TRUE = Atom(Lit(True))
+TRUE = Lit(True)
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,11 @@ def scan(text, lexicon):
 
 
 def is_identifier(name):
-    """Whether `name` is one identifier of the guard language."""
+    """Whether `name` is one identifier of the guard language: `true` and
+    `false` are its bool literals."""
     try:
-        return scan(name, LEXICON)[0][0] == ("IDENT", name)
+        return (scan(name, LEXICON)[0][0] == ("IDENT", name)
+                and name not in ("true", "false"))
     except ParseError:
         return False
 
@@ -186,27 +183,40 @@ class TokenCursor:
         return repr(tok)
 
 
-class _Parser(TokenCursor):
-    # expressions: term (+|- term)* ; term: factor (* factor)* ; factor: atom
-    def parse_expr(self):
-        left = self.parse_term()
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            left = BinOp(op, left, self.parse_term())
-        return left
+# The precedence ladder, loosest first: || < && < prefix ! < comparisons
+# (they do not chain) < + - < *; a factor binds tighter than all of them.
+_OR, _NOT, _COMPARE, _ARITH, _MUL = 1, 3, 4, 5, 6
+_PREC = {"||": _OR, "&&": 2, "==": _COMPARE, "!=": _COMPARE, "<": _COMPARE,
+         "<=": _COMPARE, ">": _COMPARE, ">=": _COMPARE, "+": _ARITH,
+         "-": _ARITH, "*": _MUL}
 
-    def parse_term(self):
-        left = self.parse_factor()
-        while self.peek() == "*":
+
+class _Parser(TokenCursor):
+    def parse_expr(self, level=_ARITH):
+        """The expression built of the ladder's operators from `level` up.
+        After an operator only a looser one or, left-associative, the same
+        may follow: `!` and a comparison leave no operand to a tighter one."""
+        if level <= _NOT and self.peek() == "!":
             self.next()
-            left = BinOp("*", left, self.parse_factor())
+            left, top = Not(self.parse_expr(_NOT)), _NOT - 1
+        else:
+            left, top = self.parse_factor(), _MUL
+        while level <= (prec := _PREC.get(self.peek(), 0)) <= top:
+            op = self.next()
+            right = self.parse_expr(prec + 1)
+            if prec == _COMPARE:
+                left, top = Compare(left, op, right), _COMPARE - 1
+            elif prec >= _ARITH:
+                left, top = BinOp(op, left, right), prec
+            else:
+                left, top = (Or if op == "||" else And)(left, right), prec
         return left
 
     def parse_factor(self):
         tok = self.peek()
         if tok == "(":
             self.next()
-            e = self.parse_expr()
+            e = self.parse_expr(_OR)
             self.expect(")")
             return e
         if tok == "-":
@@ -253,56 +263,12 @@ class _Parser(TokenCursor):
             exprs.append(self.parse_expr())
         return tuple(exprs)
 
-    # conditions: or-level, and-level, not-level, atom-level
-    def parse_condition(self):
-        left = self.parse_and()
-        while self.peek() == "||":
-            self.next()
-            left = Or(left, self.parse_and())
-        return left
 
-    def parse_and(self):
-        left = self.parse_not()
-        while self.peek() == "&&":
-            self.next()
-            left = And(left, self.parse_not())
-        return left
-
-    def parse_not(self):
-        if self.peek() == "!":
-            self.next()
-            return Not(self.parse_not())
-        return self.parse_catom()
-
-    def parse_catom(self):
-        if self.peek() == "(":
-            # Could be a parenthesized condition or a parenthesized
-            # arithmetic expression followed by a comparator; backtrack.
-            saved = self.pos
-            self.next()
-            try:
-                cond = self.parse_condition()
-                self.expect(")")
-            except ParseError:
-                self.pos = saved
-            else:
-                if self.peek() not in ("==", "!=", "<", "<=", ">", ">=",
-                                       "+", "-", "*"):
-                    return cond
-                self.pos = saved
-        left = self.parse_expr()
-        if self.peek() in ("==", "!=", "<", "<=", ">", ">="):
-            op = self.next()
-            right = self.parse_expr()
-            return Compare(left, op, right)
-        return Atom(left)
-
-
-def _parse(text: str, rule):
+def _parse(text: str, rule, *args):
     """`rule` over all of `text`; a too deep nesting is a ParseError."""
     p = _Parser(scan(text, LEXICON))
     try:
-        out = rule(p)
+        out = rule(p, *args)
         p.expect("EOF")
     except RecursionError:
         raise ParseError(p.here(), "expression nested too deeply") from None
@@ -310,7 +276,7 @@ def _parse(text: str, rule):
 
 
 def parse_condition(text: str) -> Condition:
-    return _parse(text, _Parser.parse_condition) if text.strip() else TRUE
+    return _parse(text, _Parser.parse_expr, _OR) if text.strip() else TRUE
 
 
 def parse_action(text: str) -> ActionSeq:
@@ -338,40 +304,26 @@ def lit_text(value):
     return str(value)
 
 
-_EXPR_PREC = {"+": 1, "-": 1, "*": 2}
-
-
-def print_expr(e: Expr, _parent_prec=0) -> str:
+def print_expr(e: Expr, _parent_prec=_ARITH) -> str:
+    """`e` in the fewest parentheses that parse back to it at the ladder's
+    `_parent_prec` level: by default, as an arithmetic operand reads it."""
     if isinstance(e, Lit):
         return lit_text(e.value)
     if isinstance(e, Var):
         return e.name
-    prec = _EXPR_PREC[e.op]
-    left = print_expr(e.left, prec)
-    # operators are left-associative: parenthesize right-nested operands
-    right = print_expr(e.right, prec + 1)
-    text = f"{left} {e.op} {right}"
-    if prec < _parent_prec:
-        return f"({text})"
-    return text
+    if isinstance(e, Not):
+        prec, text = _NOT, "!" + print_expr(e.operand, _NOT)
+    else:
+        # left-associative but for comparisons: parenthesize a right-nested
+        # operand, and a comparison's left one
+        prec = _PREC[e.op]
+        left = print_expr(e.left, prec + (prec == _COMPARE))
+        text = f"{left} {e.op} {print_expr(e.right, prec + 1)}"
+    return f"({text})" if prec < _parent_prec else text
 
 
-def print_condition(c: Condition, _parent_prec=0) -> str:
-    if isinstance(c, Atom):
-        return print_expr(c.expr)
-    if isinstance(c, Compare):
-        return f"{print_expr(c.left)} {c.op} {print_expr(c.right)}"
-    if isinstance(c, Not):
-        return "!" + print_condition(c.operand, 3)
-    if isinstance(c, And):
-        text = (f"{print_condition(c.left, 2)} && "
-                f"{print_condition(c.right, 3)}")
-        return f"({text})" if _parent_prec > 2 else text
-    if isinstance(c, Or):
-        text = (f"{print_condition(c.left, 1)} || "
-                f"{print_condition(c.right, 2)}")
-        return f"({text})" if _parent_prec > 1 else text
-    raise TypeError(f"not a condition: {c!r}")
+def print_condition(c: Condition) -> str:
+    return print_expr(c, _OR)
 
 
 def print_action(a: ActionSeq) -> str:
@@ -384,6 +336,9 @@ def print_inscription(ins: Inscription) -> str:
 
 # --- Evaluation ------------------------------------------------------------
 
+_ORDERED = {"<", "<=", ">", ">="}
+
+
 def eval_expr(e: Expr, env: dict) -> Value:
     if isinstance(e, Lit):
         return e.value
@@ -391,44 +346,41 @@ def eval_expr(e: Expr, env: dict) -> Value:
         if e.name not in env:
             raise UnboundVariable(e.name)
         return env[e.name]
-    left = eval_expr(e.left, env)
-    right = eval_expr(e.right, env)
-    if not (type(left) is int and type(right) is int):
-        raise TypeMismatch(f"arithmetic on non-ints: {left!r} {e.op} {right!r}")
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    return left * right
-
-
-_ORDERED = {"<", "<=", ">", ">="}
-
-
-def eval_condition(c: Condition, env: dict) -> bool:
-    if isinstance(c, Atom):
-        v = eval_expr(c.expr, env)
-        if type(v) is not bool:
-            raise TypeMismatch(f"condition value is not a bool: {v!r}")
-        return v
-    if isinstance(c, Compare):
-        left = eval_expr(c.left, env)
-        right = eval_expr(c.right, env)
+    if isinstance(e, BinOp):
+        left = eval_expr(e.left, env)
+        right = eval_expr(e.right, env)
+        if not (type(left) is int and type(right) is int):
+            raise TypeMismatch(f"arithmetic on non-ints: {left!r} {e.op} {right!r}")
+        if e.op == "+":
+            return left + right
+        if e.op == "-":
+            return left - right
+        return left * right
+    if isinstance(e, Compare):
+        left = eval_expr(e.left, env)
+        right = eval_expr(e.right, env)
         if type(left) is not type(right):
             raise TypeMismatch(f"comparison of {left!r} and {right!r}")
-        if c.op in _ORDERED:
+        if e.op in _ORDERED:
             if type(left) is not int:
                 raise TypeMismatch(f"ordered comparison of {left!r} and {right!r}")
             return {"<": left < right, "<=": left <= right,
-                    ">": left > right, ">=": left >= right}[c.op]
-        return left == right if c.op == "==" else left != right
-    if isinstance(c, Not):
-        return not eval_condition(c.operand, env)
-    if isinstance(c, And):
-        return eval_condition(c.left, env) and eval_condition(c.right, env)
-    if isinstance(c, Or):
-        return eval_condition(c.left, env) or eval_condition(c.right, env)
-    raise TypeError(f"not a condition: {c!r}")
+                    ">": left > right, ">=": left >= right}[e.op]
+        return left == right if e.op == "==" else left != right
+    if isinstance(e, Not):
+        return not eval_condition(e.operand, env)
+    if isinstance(e, And):
+        return eval_condition(e.left, env) and eval_condition(e.right, env)
+    if isinstance(e, Or):
+        return eval_condition(e.left, env) or eval_condition(e.right, env)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def eval_condition(c: Condition, env: dict) -> bool:
+    v = eval_expr(c, env)
+    if type(v) is not bool:
+        raise TypeMismatch(f"condition value is not a bool: {v!r}")
+    return v
 
 
 def eval_action(a: ActionSeq, env: dict) -> dict:
@@ -445,17 +397,9 @@ def expr_vars(e: Expr) -> set:
         return set()
     if isinstance(e, Var):
         return {e.name}
+    if isinstance(e, Not):
+        return expr_vars(e.operand)
     return expr_vars(e.left) | expr_vars(e.right)
-
-
-def condition_vars(c: Condition) -> set:
-    if isinstance(c, Atom):
-        return expr_vars(c.expr)
-    if isinstance(c, Compare):
-        return expr_vars(c.left) | expr_vars(c.right)
-    if isinstance(c, Not):
-        return condition_vars(c.operand)
-    return condition_vars(c.left) | condition_vars(c.right)
 
 
 def action_vars(a: ActionSeq) -> set:
@@ -470,19 +414,14 @@ def subst_expr(e: Expr, mapping: dict) -> Expr:
         return e
     if isinstance(e, Var):
         return mapping.get(e.name, e)
-    return BinOp(e.op, subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-
-
-def subst_condition(c: Condition, mapping: dict) -> Condition:
-    if isinstance(c, Atom):
-        return Atom(subst_expr(c.expr, mapping))
-    if isinstance(c, Compare):
-        return Compare(subst_expr(c.left, mapping), c.op,
-                       subst_expr(c.right, mapping))
-    if isinstance(c, Not):
-        return Not(subst_condition(c.operand, mapping))
-    return type(c)(subst_condition(c.left, mapping),
-                   subst_condition(c.right, mapping))
+    if isinstance(e, Not):
+        return Not(subst_expr(e.operand, mapping))
+    left, right = subst_expr(e.left, mapping), subst_expr(e.right, mapping)
+    if isinstance(e, BinOp):
+        return BinOp(e.op, left, right)
+    if isinstance(e, Compare):
+        return Compare(left, e.op, right)
+    return type(e)(left, right)
 
 
 def compile_actions(a: ActionSeq) -> dict:

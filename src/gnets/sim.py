@@ -175,7 +175,7 @@ def _compile(struct) -> tuple:
         actions = struct.action_map.get(tid, ())
         needed = guards.action_vars(actions)
         if cond is not None:
-            needed |= guards.condition_vars(cond)
+            needed |= guards.expr_vars(cond)
         outputs = []
         for q in struct.post(tid):
             ins = ins_map.get((tid, q))

@@ -78,7 +78,7 @@ def rename_variables(struct, mapping):
         struct,
         inscriptions=tuple((k, tuple(guards.subst_expr(e, subst) for e in v))
                            for k, v in struct.inscriptions),
-        conditions=tuple((t, guards.subst_condition(c, subst))
+        conditions=tuple((t, guards.subst_expr(c, subst))
                          for t, c in struct.conditions),
         actions=tuple((t, tuple(guards.Assign(mapping.get(a.target, a.target),
                                               guards.subst_expr(a.expr, subst))

@@ -38,7 +38,7 @@ def _bindings_for(transition, chosen, domains):
             if var in binding and repr(binding[var]) != repr(value):
                 return
             binding[var] = value
-    free = set(guards.condition_vars(transition.gate))
+    free = set(guards.expr_vars(transition.gate))
     for _, exprs in transition.outputs:
         for e in exprs:
             free |= guards.expr_vars(e)

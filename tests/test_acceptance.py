@@ -306,7 +306,7 @@ def random_expr(rng, depth):
 def random_condition(rng, depth):
     if depth == 0 or rng.random() < 0.4:
         if rng.random() < 0.3:
-            return guards.Atom(guards.Lit(rng.random() < 0.5))
+            return guards.Lit(rng.random() < 0.5)
         return guards.Compare(random_expr(rng, 2),
                               rng.choice(["==", "!=", "<", "<=", ">", ">="]),
                               random_expr(rng, 2))

@@ -394,7 +394,7 @@ def full_scan_successors(flat, marking):
                                      [tokens[p][i] for p, i in combo])
             if binding is None:
                 continue
-            needed = set(guards.condition_vars(t.gate))
+            needed = set(guards.expr_vars(t.gate))
             for _, exprs in t.outputs:
                 for e in exprs:
                     needed |= guards.expr_vars(e)
@@ -452,7 +452,7 @@ def flat_transition(name, inputs, outputs, gate):
         name, inputs,
         tuple((p, tuple(guards.subst_expr(e, free) for e in exprs))
               for p, exprs in outputs),
-        guards.subst_condition(gate, free))
+        guards.subst_expr(gate, free))
 
 
 # patterns and tokens of every width from the black `()` up, a repeated
@@ -469,10 +469,9 @@ flat_transitions = st.builds(
         st.sampled_from(PLACES),
         st.lists(EXPRS, max_size=2).map(tuple)),
         max_size=2).map(tuple),
-    # Atom(Lit(1)) equals guards.TRUE but raises TypeMismatch
+    # Lit(1) equals guards.TRUE but raises TypeMismatch
     st.one_of(st.just(guards.TRUE), st.just(guards.TRUE),
-              st.just(guards.Atom(guards.Lit(1))),
-              st.builds(guards.Atom, EXPRS),
+              st.just(guards.Lit(1)), EXPRS,
               st.builds(guards.Compare, EXPRS,
                         st.sampled_from(("==", "!=")), EXPRS)))
 # the shape of most flattened transitions: one input, a `true` gate and

@@ -1,12 +1,12 @@
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnets import guards
 from gnets.errors import ParseError, TypeMismatch, UnboundVariable
-from gnets.guards import (Assign, Atom, BinOp, Compare, Lit, Not, Or, And,
+from gnets.guards import (Assign, BinOp, Compare, Lit, Not, Or, And,
                          Var, parse_action, parse_condition, parse_expr,
                          parse_inscription, print_action, print_condition,
                          print_expr, print_inscription)
@@ -27,7 +27,7 @@ def exprs(depth=3):
 def conditions():
     comparisons = st.builds(Compare, exprs(), st.sampled_from(
         ["==", "!=", "<", "<=", ">", ">="]), exprs())
-    base = st.one_of(st.builds(Atom, st.booleans().map(Lit)), comparisons)
+    base = st.one_of(st.booleans().map(Lit), comparisons)
     return st.recursive(
         base,
         lambda inner: st.one_of(
@@ -35,6 +35,23 @@ def conditions():
             st.builds(And, inner, inner),
             st.builds(Or, inner, inner)),
         max_leaves=8)
+
+
+def mixed():
+    """Trees of every node kind in any position: conditions as
+    arithmetic and comparison operands, `Not` over a comparison."""
+    base = st.one_of(st.integers(min_value=-99, max_value=-1).map(Lit),
+                     values.map(Lit), names.map(Var))
+    return st.recursive(
+        base,
+        lambda inner: st.one_of(
+            st.builds(BinOp, st.sampled_from("+-*"), inner, inner),
+            st.builds(Compare, inner, st.sampled_from(
+                ["==", "!=", "<", "<=", ">", ">="]), inner),
+            st.builds(Not, inner),
+            st.builds(And, inner, inner),
+            st.builds(Or, inner, inner)),
+        max_leaves=10)
 
 
 def actions():
@@ -49,6 +66,15 @@ class TestRoundTrip:
     @given(conditions())
     def test_condition(self, c):
         assert parse_condition(print_condition(c)) == c
+
+    @given(mixed())
+    @example(Compare(Compare(Var("a"), "<", Var("b")), "==", Lit(True)))
+    @example(BinOp("*", Or(Var("a"), Var("b")), Not(Var("c"))))
+    @example(Not(Compare(Not(Var("a")), "!=", And(Var("b"), Var("c")))))
+    def test_mixed_tree_at_both_levels(self, e):
+        assert parse_condition(print_condition(e)) == e
+        assert parse_expr(print_expr(e)) == e
+        assert parse_inscription(print_inscription((e, e))) == (e, e)
 
     @given(actions())
     def test_action(self, a):
@@ -99,11 +125,46 @@ class TestParsing:
     def test_string_literal(self):
         assert parse_expr('"hi there"') == Lit("hi there")
 
+    # each text with its printed form, recorded from the recursive-descent
+    # parser that the precedence ladder replaced
+    @pytest.mark.parametrize("text, printed", [
+        ("!x == 1", "!x == 1"),
+        ("a == 1 || b == 2 && c == 3", "a == 1 || b == 2 && c == 3"),
+        ("!(a && b) || !(c || d)", "!(a && b) || !(c || d)"),
+        ("(a) == 1", "a == 1"),
+        ("(a + b) * 3 == c", "(a + b) * 3 == c"),
+        ("-(x)", "0 - x"),
+        ("((a == 1))", "a == 1"),
+        ("!!a", "!!a"),
+        ("(a || b) && c", "(a || b) && c"),
+        ("a || (b || c)", "a || (b || c)"),
+        ("a && (b && c)", "a && (b && c)"),
+        ("!(a == 1) && b", "!a == 1 && b"),
+        ("x - (y - z)", "x - (y - z)"),
+        ("-3 * -x", "-3 * (0 - x)"),
+        ("(x * 2) + -1 != y", "x * 2 + -1 != y"),
+        ('"s" == s || !(t)', '"s" == s || !t'),
+        ("((a && b)) || c", "a && b || c"),
+        ("(a + 1) < (b)", "a + 1 < b"),
+    ])
+    def test_prints_as_before(self, text, printed):
+        assert print_condition(parse_condition(text)) == printed
+
     @pytest.mark.parametrize("bad", ["1 +", "a ==", "x := 1", "(a", '"oops',
-                                     "a b", "&& a"])
+                                     "a b", "&& a", "a == b == c",
+                                     "a < b < c", "!a == b == c",
+                                     "false || a != 1 <= 1",
+                                     "a && b == c == d", "a == !b"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_condition(bad)
+
+    @pytest.mark.parametrize("text", ["a == 1", "!a", "a && b", "a || b"])
+    def test_expression_level_takes_a_condition_in_parentheses(self, text):
+        with pytest.raises(ParseError):
+            parse_expr(text)
+        assert parse_expr(f"({text})") == parse_condition(text)
+        assert print_expr(parse_condition(text)) == f"({text})"
 
     def test_action_requires_target(self):
         with pytest.raises(ParseError):
@@ -162,7 +223,8 @@ class TestScanner:
     @pytest.mark.parametrize("name, ok", [
         ("p1", True), ("b1\u00a7A", True), ("_x", True), ("p 1", False),
         ("a-b", False), ("1p", False), ("\u00b2x", False), ("", False),
-        (" a", False), ("a ", False), ("true", True)])
+        (" a", False), ("a ", False), ("true", False), ("false", False),
+        ("trues", True)])
     def test_is_identifier(self, name, ok):
         assert guards.is_identifier(name) is ok
 
@@ -218,7 +280,30 @@ class TestEvaluation:
 
     def test_condition_must_be_bool(self):
         with pytest.raises(TypeMismatch):
-            guards.eval_condition(Atom(Lit(3)), {})
+            guards.eval_condition(Lit(3), {})
+
+    @pytest.mark.parametrize("text, env, value", [
+        ("(1 < b) != false", {"b": 2}, True),
+        ("(a == 1) == (b == 2)", {"a": 1, "b": 3}, False),
+        ("(1 < 2) + 1", {}, TypeMismatch),
+        ("-(a == 1)", {"a": 1}, TypeMismatch),
+        ("(1 < 2) < (2 < 3)", {}, TypeMismatch),
+        ("!1 == 1", {}, False),
+        ("!(1 + 1)", {}, TypeMismatch),
+        ("(a && b) == 1", {"a": True, "b": True}, TypeMismatch),
+        ("(a || 1) == true", {"a": True}, True),
+        ("(a || 1) == true", {"a": False}, TypeMismatch),
+    ])
+    def test_condition_operands_keep_the_type_rules(self, text, env, value):
+        """A condition read as an operand evaluates to a bool: arithmetic
+        on it and its ordered comparison raise TypeMismatch, as on a bool
+        attribute; `&&`, `||` and `!` need bools and short-circuit."""
+        for e in (parse_condition(text), parse_expr(f"({text})")):
+            if value is TypeMismatch:
+                with pytest.raises(TypeMismatch):
+                    guards.eval_expr(e, env)
+            else:
+                assert guards.eval_expr(e, env) is value
 
     def test_action_sequencing(self):
         env = guards.eval_action(parse_action("a := 1; b := a + 1"), {})
@@ -262,7 +347,7 @@ class TestVars:
         assert guards.expr_vars(parse_expr("x + y * x")) == {"x", "y"}
 
     def test_condition_vars(self):
-        assert guards.condition_vars(
+        assert guards.expr_vars(
             parse_condition("a == 1 && !(b < c)")) == {"a", "b", "c"}
 
     def test_subst(self):
@@ -271,12 +356,12 @@ class TestVars:
 
     @given(conditions())
     def test_subst_condition_identity(self, c):
-        identity = {n: Var(n) for n in guards.condition_vars(c)}
-        assert guards.subst_condition(c, identity) == c
+        identity = {n: Var(n) for n in guards.expr_vars(c)}
+        assert guards.subst_expr(c, identity) == c
 
     @given(conditions())
     def test_subst_condition_renames_vars(self, c):
-        names = guards.condition_vars(c)
-        renamed = guards.subst_condition(
+        names = guards.expr_vars(c)
+        renamed = guards.subst_expr(
             c, {n: Var(f"{n}_r") for n in names})
-        assert guards.condition_vars(renamed) == {f"{n}_r" for n in names}
+        assert guards.expr_vars(renamed) == {f"{n}_r" for n in names}

@@ -129,6 +129,7 @@ class TestValidate:
         ("1p", [("1p", "bad-name")]),
         (apart("A")("b1"), []),
         ("x²", []),
+        ("false", [("false", "bad-name")]),
     ])
     def test_place_id_must_be_a_guard_identifier(self, pid, violations):
         """PROD text writes a place id into a place name, so `p 1`, which
@@ -154,6 +155,23 @@ class TestValidate:
              "identifier"),
             ("x y", "bad-name", "parameter 'x y' is not a guard identifier"),
             ("a-b", "bad-name", "attribute 'a-b' is not a guard identifier")]
+
+    def test_bool_literals_are_not_names(self):
+        """A guard reads `true` and `false` as the bool literals, so an
+        attribute, transition id or parameter of either name is a
+        violation: PROD text could not read it back as a name."""
+        ws = algebra.atomic("a", "op-a")
+        method = replace(ws.net.gsp.methods[0], params=(("false", ""),))
+        gsp = GspSpec((method,), (AttributeSpec("true", "int", 0),))
+        struct = ws.net.internal.renamed(lambda i: "true" if i == "t1" else i)
+        report = validate(replace(ws, net=GNetModel(gsp, struct)))
+        assert [(v.element, v.rule, v.message)
+                for v in report.violations] == [
+            ("true", "bad-name", "transition id 'true' is not a guard "
+             "identifier"),
+            ("false", "bad-name", "parameter 'false' is not a guard "
+             "identifier"),
+            ("true", "bad-name", "attribute 'true' is not a guard identifier")]
 
 
 class TestRenameApart:

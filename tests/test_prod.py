@@ -72,9 +72,9 @@ class TestExportProd:
             assert blocks[name] == "gate ;"
 
     def test_only_a_true_gate_is_left_empty(self):
-        """`Atom(Lit(1))` equals `guards.TRUE` as a dataclass but is no
-        bool: it is written out, not left empty as the always-true gate."""
-        gates = {"T2": guards.Atom(guards.Lit(1)), "T5": guards.TRUE}
+        """`Lit(1)` equals `guards.TRUE` as a dataclass but is no bool: it
+        is written out, not left empty as the always-true gate."""
+        gates = {"T2": guards.Lit(1), "T5": guards.TRUE}
         flat = book_order_flat()
         text = prod.export_prod(replace(flat, transitions=[
             replace(t, gate=gates.get(t.name, t.gate))

@@ -558,7 +558,7 @@ def _full_scan_needed(struct, tid):
     needed = set()
     cond = struct.condition_map.get(tid)
     if cond is not None:
-        needed |= guards.condition_vars(cond)
+        needed |= guards.expr_vars(cond)
     needed |= guards.action_vars(struct.action_map.get(tid, ()))
     for q in struct.post(tid):
         for expr in struct.inscription_map.get((tid, q), ()):
@@ -714,7 +714,7 @@ GAME_VARS = ("x", "y", "d", "e", "a", "u")
 game_exprs = st.one_of(st.sampled_from(GAME_VALUES).map(guards.Lit),
                        st.sampled_from(GAME_VARS).map(guards.Var))
 game_conditions = st.one_of(
-    st.none(), st.just(guards.TRUE), st.builds(guards.Atom, game_exprs),
+    st.none(), st.just(guards.TRUE), game_exprs,
     st.builds(guards.Compare, game_exprs, st.sampled_from(("==", "!=")),
               game_exprs))
 game_patterns = st.lists(st.sampled_from(("x", "y")), max_size=2,
