@@ -346,14 +346,23 @@ class _SuccessorPlan:
         zipped             True when it has one input with distinct pattern
                            variables and no free variable: it binds by
                            zipping the pattern with each token;
-        free               its free variables, sorted, for the other path.
+        free               its free variables, sorted, for the other path;
+        gate               its gate, or None for the literal `true`.
     A transition's firings depend only on its input places' tokens: the
     memo `firings` maps a marked (place, tokens) pair, as it is, to those
-    of all of `fed[place]`, and a `joint` transition's (index, input token
+    of all of `fed[place]`, and a joint transition's (index, input token
     tuples) to its own; the tuples are exact (`model.exact`), so the int 1
-    and the bool True key apart.  It lives as long as its `FlatNet`."""
+    and the bool True key apart.  A joint transition, one with several
+    inputs, is indexed by its first (head) input place and tried only in
+    a state that marks that place; one with no input, in every state.
+    Each firing holds its delta (see `_local_firings`), and its successor
+    is the marking's symmetric difference with it, one set operation,
+    unless the firing puts tokens on a place already marked: that place's
+    old and new tokens are then merged.  It lives as long as its
+    `FlatNet`."""
     fed: dict  # place -> kernels of the one-input transitions it feeds
-    joint: tuple  # kernels of the transitions with no input or several
+    joint: dict  # head place -> kernels of the joint transitions it heads
+    sources: tuple  # kernels of the transitions with no input
     firings: dict = field(default_factory=dict)  # the memo
 
 
@@ -362,7 +371,7 @@ def _successor_plan(transitions) -> _SuccessorPlan:
     by `natural_key` of their name; names with equal keys share it."""
     keys = [natural_key(t.name) for t in transitions]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    fed, joint = {}, []
+    fed, joint, sources = {}, {}, []
     for index, (t, key) in enumerate(zip(transitions, keys)):
         needed = guards.expr_vars(t.gate)
         for _, exprs in t.outputs:
@@ -372,10 +381,15 @@ def _successor_plan(transitions) -> _SuccessorPlan:
         free = sorted(needed - bound)
         zipped = (len(t.inputs) == 1 and not free
                   and len(bound) == len(t.inputs[0][1]))
+        # Lit(1) == TRUE, yet a gate of 1 raises TypeMismatch
+        gate = (None if type(t.gate) is guards.Lit and t.gate.value is True
+                else t.gate)
         places = tuple(p for p, _ in t.inputs)
-        group = fed.setdefault(places[0], []) if len(places) == 1 else joint
-        group.append((t, rank[key], index, places, zipped, free))
-    return _SuccessorPlan(fed, tuple(joint))
+        group = (sources if not places else
+                 fed.setdefault(places[0], []) if len(places) == 1
+                 else joint.setdefault(places[0], []))
+        group.append((t, rank[key], index, places, zipped, free, gate))
+    return _SuccessorPlan(fed, joint, tuple(sources))
 
 
 def _bindings(kernel, local, domains):
@@ -384,17 +398,18 @@ def _bindings(kernel, local, domains):
     zipped kernel binds each token by zip; any other binds every
     combination of input tokens and free-variable values.  A token equal
     to the one before it (tokens are sorted by repr) is skipped."""
-    t, _, _, _, zipped, free = kernel
-    pools = [[i for i in range(len(toks))
-              if not i or repr(toks[i]) != repr(toks[i - 1])]
-             for toks in local]
+    t, _, _, _, zipped, free, _ = kernel
     if zipped:
         (_, pattern), = t.inputs
         toks, = local
-        for i in pools[0]:
-            if len(toks[i]) == len(pattern):
-                yield (i,), dict(zip(pattern, toks[i]))
+        for i, tok in enumerate(toks):
+            if len(tok) == len(pattern) and (
+                    not i or repr(tok) != repr(toks[i - 1])):
+                yield (i,), dict(zip(pattern, tok))
         return
+    pools = [[i for i in range(len(toks))
+              if not i or repr(toks[i]) != repr(toks[i - 1])]
+             for toks in local]
     for combo in product(*pools):
         binding = _bind(t.inputs, [toks[i] for toks, i in zip(local, combo)])
         if binding is None:
@@ -402,6 +417,9 @@ def _bindings(kernel, local, domains):
         for name in free:
             if name not in domains:
                 raise UnboundFreeVariable(name)
+        if not free:
+            yield combo, binding
+            continue
         for values in product(*(domains[name] for name in free)):
             yield combo, {**binding, **dict(zip(free, values))}
 
@@ -409,19 +427,24 @@ def _bindings(kernel, local, domains):
 def _local_firings(kernel, local, domains) -> tuple:
     """The firings of `kernel`'s transition when its input places hold the
     token tuples `local`, in the order of `_bindings`.  A firing is a tuple of
-        sort key          (rank, binding repr, index, position): unique;
+        rank, binding repr, index, position
+                          its sort key, no two firings of a state alike;
         name, pairs       the transition's name and its binding's sorted
                           (variable, value) pairs;
-        removed, added    the (place, tokens) pairs of its input places
-                          before and after it, an emptied place left out;
-        others            (place, tokens) per other place it puts tokens
-                          on, sorted by repr, to merge with its tokens;
-    each token tuple made exact."""
-    t, rank, index, places, _, _ = kernel
-    removed = tuple(zip(places, local))
-    firings = []
+        delta             the frozenset R ^ (A | O) of the (place, tokens)
+                          pairs it takes from its input places (R), leaves
+                          on them (A, an emptied place left out) and puts
+                          on other places (O); a token put back as it was
+                          taken is in R and A, and so in no delta;
+        others            O as a tuple, tokens sorted by repr, to merge
+                          with the tokens of a place already marked;
+    each token tuple made exact.  The gate is not evaluated when it is the
+    literal `true`."""
+    t, rank, index, places, _, _, gate = kernel
+    removed = frozenset(zip(places, local))
+    eval_expr, firings = guards.eval_expr, []
     for combo, env in _bindings(kernel, local, domains):
-        if not guards.eval_condition(t.gate, env):
+        if gate is not None and not guards.eval_condition(gate, env):
             continue
         after = {p: toks[:i] + toks[i + 1:]
                  for p, toks, i in zip(places, local, combo)}
@@ -429,14 +452,15 @@ def _local_firings(kernel, local, domains) -> tuple:
         for pname, exprs in t.outputs:
             side = after if pname in after else others
             toks = side.get(pname)
-            tok = tuple(guards.eval_expr(e, env) for e in exprs)
+            tok = tuple([eval_expr(e, env) for e in exprs])
             side[pname] = (tuple(sorted(toks + (tok,), key=repr)) if toks
                            else (tok,))
         pairs = tuple(sorted(env.items()))
-        firings.append(((rank, repr(pairs), index, len(firings)), t.name,
-                        pairs, removed, tuple((p, exact(toks)) for p, toks
-                                              in after.items() if toks),
-                        tuple((p, exact(toks)) for p, toks in others.items())))
+        others = [(p, exact(toks)) for p, toks in others.items()]
+        made = [(p, exact(toks)) for p, toks in after.items() if toks]
+        firings.append((rank, repr(pairs), index, len(firings), t.name,
+                        pairs, removed.symmetric_difference(made + others),
+                        tuple(others)))
     return tuple(firings)
 
 
@@ -446,8 +470,12 @@ def flat_successors(flat: FlatNet, marking: frozenset):
     binding repr, then transition index.  The firings of each marked pair,
     and of each joint transition whose inputs are marked, come from the
     plan's memo; misses run in index order, so the lowest-index kernel
-    that raises raises, and are stored only if none raised."""
-    memo, fed, joint = flat.plan.firings, flat.plan.fed, flat.plan.joint
+    that raises raises, and are stored only if none raised.  A successor
+    is `marking` toggled by the firing's delta, or, where the firing puts
+    tokens on a place `marking` already marks, that place's old and new
+    tokens sorted together."""
+    plan = flat.plan
+    memo, fed, joint = plan.firings, plan.fed, plan.joint
     found, runs, missed = [], [], {}  # runs: (index, kernel, key, local)
     for pair in marking:
         firings = memo.get(pair)
@@ -457,34 +485,42 @@ def flat_successors(flat: FlatNet, marking: frozenset):
         else:
             found += firings
     tokens = dict(marking)
-    for kernel in joint:
-        if kernel[3] and kernel[3][0] not in tokens:  # cheaper than map
-            continue
+    tried = plan.sources  # and the joint kernels of the marked places
+    if joint:
+        tried = list(tried)
+        for place in tokens:
+            if place in joint:
+                tried += joint[place]
+    for kernel in tried:
         local = tuple(map(tokens.get, kernel[3]))
+        if None in local:  # an input place unmarked
+            continue
         key = (kernel[2], local)
         firings = memo.get(key)
-        if firings is not None:
-            found += firings
-        elif None not in local:  # all its input places marked
+        if firings is None:
             runs.append((kernel[2], kernel, key, local))
-    runs.sort(key=itemgetter(0))
-    for _, kernel, key, local in runs:
-        firings = _local_firings(kernel, local, flat.domains)
-        missed[key] = missed.get(key, ()) + firings
-        found += firings
-    memo.update(missed)
+        else:
+            found += firings
+    if missed or runs:  # a state made of memo hits skips this
+        runs.sort(key=itemgetter(0))
+        for _, kernel, key, local in runs:
+            firings = _local_firings(kernel, local, flat.domains)
+            missed[key] = missed.get(key, ()) + firings
+            found += firings
+        memo.update(missed)
     found.sort()  # by sort key, which no two firings share
     results = []
-    for _, name, pairs, removed, added, others in found:
-        for p, _ in others:
-            if p in tokens:  # sort the new tokens into the place's
-                removed += tuple((q, tokens[q]) for q, _ in others
-                                 if q in tokens)
-                others = [(q, exact(tuple(sorted(tokens[q] + toks, key=repr))))
-                          if q in tokens else (q, toks) for q, toks in others]
+    for _, _, _, _, name, pairs, delta, others in found:
+        succ = delta ^ marking
+        for q, _ in others:
+            if q in tokens:  # sort the new tokens into the place's
+                marked = [(q, toks) for q, toks in others if q in tokens]
+                succ = succ.difference(
+                    marked, [(q, tokens[q]) for q, _ in marked]).union(
+                    (q, exact(tuple(sorted(tokens[q] + toks, key=repr))))
+                    for q, toks in marked)
                 break
-        results.append((name, pairs,
-                        marking.difference(removed).union(added, others)))
+        results.append((name, pairs, succ))
     return results
 
 

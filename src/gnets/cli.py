@@ -8,6 +8,7 @@ error), 2 input error (missing file, parse error, bad format), 3 step limit,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -66,9 +67,21 @@ def cmd_validate(args):
     return EXIT_OK if report.ok else EXIT_SEMANTIC
 
 
+def _registry_file(name: str) -> str:
+    """The file a service is saved as in a registry directory: <name>.json
+    while its UTF-8 name fits a file name's 255 bytes, else the SHA-256 hex
+    of the name; `io.load_registry` reads the name from the content."""
+    file = f"{name}.json"
+    if len(file.encode()) > 255:
+        file = f"{hashlib.sha256(name.encode()).hexdigest()}.json"
+    return file
+
+
 def cmd_compose(args):
     """Compose a term; with a registry directory, each composite the term
-    nests is saved there as <name>.json unless the registry holds it."""
+    nests is saved there unless the registry holds it, as <name>.json, or
+    as <SHA-256 hex of the name>.json when that name is too long for a
+    file."""
     reg = _registry(args)
     held = set(reg.services)
     text = Path(args.expr).read_text()
@@ -79,7 +92,8 @@ def cmd_compose(args):
         return EXIT_SEMANTIC
     directory = _registry_dir(args)
     for name in (reg.services.keys() - held - {ws.name}) if directory else ():
-        io.save_service(reg.services[name], Path(directory) / f"{name}.json")
+        io.save_service(reg.services[name],
+                        Path(directory) / _registry_file(name))
     if args.out:
         io.save_service(ws, args.out)
     else:

@@ -222,7 +222,7 @@ class _Parser(TokenCursor):
         if tok == "-":
             self.next()
             inner = self.parse_factor()
-            if isinstance(inner, Lit) and isinstance(inner.value, int):
+            if isinstance(inner, Lit) and type(inner.value) is int:
                 return Lit(-inner.value)
             return BinOp("-", Lit(0), inner)
         if isinstance(tok, tuple):

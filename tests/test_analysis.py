@@ -18,8 +18,8 @@ from fixtures import (book_order_service, branching_bool_service,
                       one_or_true_service, treat_command_block,
                       treat_command_service)
 from gnets import algebra, analysis, dsl, guards, prod, sim
-from gnets.errors import (DepthLimitExceeded, GnetError, UnboundFreeVariable,
-                          UnflattenableIsp)
+from gnets.errors import (DepthLimitExceeded, GnetError, TypeMismatch,
+                          UnboundFreeVariable, UnflattenableIsp)
 from gnets.model import (PlaceKind, Registry, freeze_marking, natural_key,
                          validate)
 
@@ -513,11 +513,83 @@ def graphs(flat):
             for m in flat.initial_markings()]
 
 
+def same_as_full_scan(transitions, markings):
+    """The successors of each marking, in order, from a cold memo and then
+    from the warm one, as exact reprs; each must equal a full scan's."""
+    flat = analysis.FlatNet(places={}, transitions=transitions, initial={},
+                            domains={})
+    markings = [freeze_marking(m) for m in markings]
+    got = [[exact(outcome(analysis.flat_successors, flat, m))
+            for m in markings] for _ in range(2)]
+    assert got[0] == got[1] == [exact(outcome(full_scan_successors, flat, m))
+                                for m in markings]
+    return got[0]
+
+
+def copy_to(place, *targets, gate=guards.TRUE):
+    """A transition named after `place` that takes an (x,) token from it
+    and puts (x,) on each of `targets`."""
+    return analysis.FlatTransition(
+        f"t_{place}", ((place, ("x",)),),
+        tuple((q, (guards.Var("x"),)) for q in targets), gate)
+
+
 class TestCompiledEngine:
     """`flat_successors` looks up each marked (place, tokens) pair for the
-    one-input transitions that place feeds, and scans the transitions with
-    no input or several; its results must equal a full scan's, order and
-    errors included."""
+    one-input transitions that place feeds, and the transitions with
+    several inputs whose first (head) input place is marked, and tries
+    the ones with no input in every state.  A successor is the marking's
+    symmetric difference with the firing's delta, or a merge where the
+    firing puts tokens on a place already marked.  Its results must equal
+    a full scan's, order and errors included."""
+
+    def test_token_put_back_as_taken_stays(self):
+        """The pair of a place that a firing leaves as it found it is in
+        both what the firing takes and what it leaves: a delta made by
+        union would drop it from the successor."""
+        succs = same_as_full_scan([copy_to("a", "a", "b")], [
+            {"a": [(1,)]}, {"a": [(1,), (2,)]}, {"a": [(True,), (1,)]}])
+        assert [succ for _, _, succ in succs[0]] == [
+            "(('a', ((1,),)), ('b', ((1,),)))"]
+        assert [succ for _, _, succ in succs[2]] == [
+            "(('a', ((1,), (True,))), ('b', ((1,),)))",
+            "(('a', ((1,), (True,))), ('b', ((True,),)))"]
+
+    def test_firing_onto_a_marked_place_merges(self):
+        """b already holds the token t_a puts on it, c another one: each
+        place's old and new tokens are sorted together."""
+        succs = same_as_full_scan([copy_to("a", "b", "c")], [
+            {"a": [(1,)], "b": [(1,)]},
+            {"a": [(1,)], "b": [(1,)], "c": [(2,)]},
+            {"a": [(1,)], "c": [(True,)]}])
+        assert [succ for _, _, succ in succs[1]] == [
+            "(('b', ((1,), (1,))), ('c', ((1,), (2,))))"]
+        assert [succ for _, _, succ in succs[2]] == [
+            "(('b', ((1,),)), ('c', ((1,), (True,))))"]
+
+    def test_joint_transition_waits_for_every_input(self):
+        """t_join's head place pa is marked in the first marking and pb is
+        not; in the second only pb is; it fires in the third."""
+        join = analysis.FlatTransition(
+            "t_join", (("pa", ("x",)), ("pb", ("x",))),
+            (("g", (guards.Var("x"),)),))
+        succs = same_as_full_scan([join, copy_to("pa", "q")], [
+            {"pa": [(0,)]}, {"pb": [(0,)]}, {"pa": [(0,)], "pb": [(0,)]}])
+        assert [[name for name, _, _ in level] for level in succs] == [
+            ["t_pa"], [], ["t_join", "t_pa"]]
+
+    @pytest.mark.parametrize("gate, fires", [
+        (guards.TRUE, True), (guards.Lit(False), False),
+        (guards.Lit(1), TypeMismatch)])
+    def test_only_the_literal_true_gate_is_skipped(self, gate, fires):
+        """Lit(1) equals guards.TRUE as a dataclass, yet its value is
+        not a bool, so it is evaluated and raises."""
+        succs = same_as_full_scan([copy_to("a", "b", gate=gate)],
+                                  [{"a": [(1,)]}])
+        if fires is TypeMismatch:
+            assert succs[0][0] is TypeMismatch
+        else:
+            assert len(succs[0]) == fires
 
     @given(st.lists(st.one_of(flat_transitions, copy_transitions),
                     min_size=2, max_size=6),

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
@@ -260,6 +261,30 @@ class TestCompose:
         assert (registry_dir / "Par(a,b).json").exists()
         assert not (registry_dir / "Seq(Par(a,b),a).json").exists()
         assert main([command[0], str(out), "--registry",
+                     str(registry_dir)]) == 0
+
+    @pytest.mark.parametrize("width, hashed", [(122, False), (123, True)])
+    def test_nested_name_too_long_for_a_file(self, tmp_path, registry_dir,
+                                             width, hashed):
+        """Par(l..., m...) takes 2 * width + 6 bytes: at width 122 its
+        file name is 255 bytes, at 123 it is 257 and the composite is
+        saved as the SHA-256 hex of its name; either way the output
+        analyzes over the registry."""
+        leaves = [c + "x" * (width - 1) for c in "lm"]
+        for name in leaves:
+            io.save_service(algebra.with_request_method(
+                algebra.atomic(name, f"op-{name}")),
+                registry_dir / f"{name}.json")
+        out = tmp_path / "long.json"
+        term = compose_file(tmp_path, f"seq(par({leaves[0]}, {leaves[1]}), a)")
+        assert main(["compose", str(term), "--registry", str(registry_dir),
+                     "--out", str(out)]) == 0
+        nested = f"Par({leaves[0]},{leaves[1]})"
+        digest = hashlib.sha256(nested.encode()).hexdigest()
+        saved = {path.name for path in registry_dir.iterdir()}
+        assert (f"{digest}.json" in saved) == hashed
+        assert (f"{nested}.json" in saved) != hashed
+        assert main(["analyze", str(out), "--registry",
                      str(registry_dir)]) == 0
 
     @pytest.mark.parametrize("command", [
@@ -541,8 +566,9 @@ class TestSweepSimulate:
                            len(algebra.main_method(ws).params)))
             io.save_service(ws, models[-1][0])
         (tmp_path / "reg").mkdir()
-        for name, service in reg.services.items():
-            io.save_service(service, tmp_path / "reg" / f"{name}.json")
+        # by index: a service name can be too long for a file name
+        for i, service in enumerate(reg.services.values()):
+            io.save_service(service, tmp_path / "reg" / f"s{i}.json")
         codes = []
         for path, params in models:
             with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
@@ -567,8 +593,9 @@ class TestGeneratedModels:
         assert validate(ws).ok
         directory = tmp_path_factory.mktemp("generated")
         (directory / "reg").mkdir()
-        for name, service in reg.services.items():
-            io.save_service(service, directory / "reg" / f"{name}.json")
+        # by index: a service name can be too long for a file name
+        for i, service in enumerate(reg.services.values()):
+            io.save_service(service, directory / "reg" / f"s{i}.json")
         path = directory / "model.json"
         io.save_service(ws, path)
         method = algebra.main_method(ws)

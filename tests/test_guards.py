@@ -146,6 +146,9 @@ class TestParsing:
         ('"s" == s || !(t)', '"s" == s || !t'),
         ("((a && b)) || c", "a && b || c"),
         ("(a + 1) < (b)", "a + 1 < b"),
+        # minus folds into an int literal only, never into a bool
+        ("-true", "0 - true"),
+        ("x == -false", "x == 0 - false"),
     ])
     def test_prints_as_before(self, text, printed):
         assert print_condition(parse_condition(text)) == printed
@@ -293,6 +296,8 @@ class TestEvaluation:
         ("(a && b) == 1", {"a": True, "b": True}, TypeMismatch),
         ("(a || 1) == true", {"a": True}, True),
         ("(a || 1) == true", {"a": False}, TypeMismatch),
+        ("-true", {}, TypeMismatch),
+        ("x == -false", {"x": 0}, TypeMismatch),
     ])
     def test_condition_operands_keep_the_type_rules(self, text, env, value):
         """A condition read as an operand evaluates to a bool: arithmetic
